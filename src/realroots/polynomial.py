@@ -278,21 +278,50 @@ def from_roots(roots: Iterable[Scalar], lead: Scalar = 1) -> Polynomial:
     return f
 
 
+def _remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
+    """Signed remainder sequence a, b, ... of integer coefficient lists.
+
+    Lists are lowest degree first, [] is zero.  Each next entry is minus the
+    pseudo-remainder of the two before it, taken with a positive multiplier
+    and made primitive: a positive multiple of the classical -(p mod q), so
+    sign-variation counts are the classical ones.  The sequence stops before
+    the first zero remainder; its last entry is a gcd of a and b.
+    """
+    seq = [a]
+    while b:
+        seq.append(b)
+        r = list(seq[-2])
+        lead, tail = b[-1], b[:-1]
+        for k in range(len(r) - len(b), -1, -1):
+            c = r.pop()
+            if c:
+                # m * r - c * x^k * b cancels the top term, with m > 0
+                g = math.gcd(c, lead)
+                m, c = lead // g, c // g
+                if m < 0:
+                    m, c = -m, -c
+                if m != 1:
+                    r = [m * x for x in r]
+                for j, bj in enumerate(tail):
+                    r[k + j] -= c * bj
+        while r and r[-1] == 0:
+            r.pop()
+        content = math.gcd(*r) if r else 1
+        b = [-x // content for x in r]
+    return seq
+
+
 def gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Polynomial gcd, normalised to primitive integer form with positive lead.
 
     gcd(f, 0) == primitive normalisation of f; gcd(0, 0) == 0.
     """
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, a % b
-        # keep coefficient growth down and the loop exact
-        if not b.is_zero:
-            b = b.primitive()
-    if a.is_zero:
-        return a
-    a = a.primitive()
-    return -a if a.leading < 0 else a
+    if f.is_zero:
+        f, g = g, f
+    if f.is_zero:
+        return f
+    last = _remainder_sequence(f.int_coeffs(), g.int_coeffs())[-1]
+    return Polynomial(last if last[-1] > 0 else [-c for c in last])
 
 
 # -- text and JSON formats ------------------------------------------------

@@ -1,20 +1,23 @@
-"""Exact real-root machinery: Sturm chains, counting, isolation, multiplicity.
+"""Exact real-root machinery: Sturm counting, isolation, multiplicity.
 
-All decisions are exact.  Counting uses Sturm sign variations on the
-square-free part; isolation returns disjoint open intervals with rational
-non-root endpoints, except that rational roots are pinned to exact points.
+All decisions are exact and read one integer remainder sequence of (f, f')
+from ``polynomial._remainder_sequence``.  Its sign variations count the
+distinct real roots of f, also when f has multiple roots; its last entry is
+gcd(f, f'), so f is real-rooted iff the count on the whole line is
+deg f - deg gcd(f, f'), and simple-rooted iff that gcd is constant.
+Isolation returns disjoint open intervals with rational non-root endpoints,
+except that rational roots are pinned to exact points.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import ZeroPolynomialError
-from .polynomial import Polynomial, gcd
+from .polynomial import Polynomial, _remainder_sequence, gcd
 
 INF = float("inf")
 NEG_INF = float("-inf")
@@ -73,40 +76,29 @@ def _int_sign_at(cs: Sequence[int], x: Fraction | float) -> int:
     return (v > 0) - (v < 0)
 
 
-class _SignChain:
-    """Sturm chain rescaled to primitive integer entries for fast sign queries.
+def _sturm_sequence(f: Polynomial) -> list[list[int]]:
+    """Signed remainder sequence of (f, f') on primitive integer entries."""
+    return _remainder_sequence(f.int_coeffs(), f.derivative().int_coeffs())
 
-    Rescaling each entry by a positive rational leaves every sign variation
-    count unchanged.
+
+def _variations(seq: Sequence[Sequence[int]], x: Fraction | float) -> int:
+    """Sign variations of the sequence at x (or +-inf), zeros skipped."""
+    signs = [s for s in (_int_sign_at(cs, x) for cs in seq) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _count(seq: list[list[int]], lo: Fraction | float, hi: Fraction | float) -> int:
+    """Distinct roots in (lo, hi] of the head of a Sturm sequence of (f, f').
+
+    Every entry is a multiple of the last one, gcd(f, f').  At a multiple
+    root of f all entries vanish, so when an endpoint is a root of the last
+    entry the count is taken on the entries divided by it.
     """
-
-    def __init__(self, f: Polynomial):
-        if f.is_zero:
-            raise ZeroPolynomialError("Sturm chain of the zero polynomial")
-        entries = [f, f.derivative()]
-        while not entries[-1].is_zero:
-            r = -(entries[-2] % entries[-1])
-            if r.is_zero:
-                break
-            entries.append(r.primitive())
-        if entries[-1].is_zero:
-            entries.pop()
-        self.int_entries = [p.int_coeffs() for p in entries]
-
-    def variations(self, x: Fraction | float) -> int:
-        count = 0
-        prev = 0
-        for cs in self.int_entries:
-            s = _int_sign_at(cs, x)
-            if s != 0:
-                if prev != 0 and s != prev:
-                    count += 1
-                prev = s
-        return count
-
-    def count(self, lo: Fraction | float, hi: Fraction | float) -> int:
-        """Distinct roots of the (square-free) chain head in (lo, hi]."""
-        return self.variations(lo) - self.variations(hi)
+    last = seq[-1]
+    if len(last) > 1 and 0 in (_int_sign_at(last, lo), _int_sign_at(last, hi)):
+        d = Polynomial(last)
+        seq = [Polynomial(p).exact_div(d).int_coeffs() for p in seq]
+    return _variations(seq, lo) - _variations(seq, hi)
 
 
 # -- public Sturm chain -----------------------------------------------------
@@ -115,9 +107,10 @@ class _SignChain:
 class SturmChain:
     """Sturm chain of f: p0 = f, p1 = f', p_{i+1} = -(p_{i-1} mod p_i).
 
-    The chain stops before the first zero remainder.  Entries are kept
-    exactly as constructed (no rescaling) so small examples match hand
-    computation.
+    The chain stops before the first zero remainder.  p0 and p1 are f and f'
+    exactly; every later entry is the classical one rescaled by a positive
+    rational to primitive integer form, which leaves all sign counts as
+    they are.
     """
 
     def __init__(self, polynomials: Sequence[Polynomial]):
@@ -138,31 +131,14 @@ class SturmChain:
         return f"SturmChain({list(self.polynomials)!r})"
 
     def variations_at(self, x: Fraction) -> int:
-        signs = [p(x) for p in self.polynomials]
-        count = 0
-        prev = 0
-        for v in signs:
-            if v != 0:
-                s = 1 if v > 0 else -1
-                if prev != 0 and s != prev:
-                    count += 1
-                prev = s
-        return count
+        return _variations([p.int_coeffs() for p in self.polynomials], Fraction(x))
 
 
 def sturm_chain(f: Polynomial) -> SturmChain:
     if f.is_zero:
         raise ZeroPolynomialError("Sturm chain of the zero polynomial")
-    entries = [f]
-    d = f.derivative()
-    if not d.is_zero:
-        entries.append(d)
-        while True:
-            r = -(entries[-2] % entries[-1])
-            if r.is_zero:
-                break
-            entries.append(r)
-    return SturmChain(entries)
+    head = [f, f.derivative()] if f.degree > 0 else [f]
+    return SturmChain(head + [Polynomial(cs) for cs in _sturm_sequence(f)[2:]])
 
 
 # -- bounds, square-free parts ----------------------------------------------
@@ -224,26 +200,18 @@ def yun_decomposition(f: Polynomial) -> list[tuple[Polynomial, int]]:
 def count_roots(f: Polynomial, lo: Fraction | float, hi: Fraction | float) -> int:
     """Number of distinct real roots of f in the half-open interval (lo, hi].
 
-    lo may be -inf and hi may be +inf; infinite endpoints are replaced by
-    the Cauchy root bound, outside which f cannot vanish.
+    lo may be -inf and hi may be +inf; signs there are read from leading
+    coefficients and degrees.
     """
     if f.is_zero:
         raise ZeroPolynomialError("root count of the zero polynomial")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got ({lo}, {hi})")
-    fsq = squarefree_part(f)
-    if fsq.degree < 1:
+    if f.degree < 1:
         return 0
-    bound = cauchy_root_bound(fsq)
-    if lo == NEG_INF:
-        lo = -bound
-    if hi == INF:
-        hi = bound
-    lo, hi = Fraction(lo), Fraction(hi)
-    if not lo < hi:
-        return 0
-    chain = _SignChain(fsq)
-    return chain.count(lo, hi)
+    lo = lo if lo == NEG_INF else Fraction(lo)
+    hi = hi if hi == INF else Fraction(hi)
+    return _count(_sturm_sequence(f), lo, hi)
 
 
 # -- isolation ---------------------------------------------------------------
@@ -277,8 +245,9 @@ class _Isolator:
     """Isolation and refinement for one primitive square-free integer polynomial."""
 
     def __init__(self, g: Polynomial):
-        self.cs = g.int_coeffs()
-        self.chain = _SignChain(g)
+        self.g = g
+        self.seq = _sturm_sequence(g)
+        self.cs = self.seq[0]
 
     def sign_at(self, x: Fraction) -> int:
         return _int_sign_at(self.cs, x)
@@ -289,9 +258,9 @@ class _Isolator:
         intervals: list[tuple[Fraction, Fraction]] = []
         if len(self.cs) <= 1:
             return points, intervals
-        bound = 1 + Fraction(max(abs(c) for c in self.cs[:-1]), abs(self.cs[-1]))
-        v_lo = self.chain.variations(-bound)
-        v_hi = self.chain.variations(bound)
+        bound = cauchy_root_bound(self.g)
+        v_lo = _variations(self.seq, -bound)
+        v_hi = _variations(self.seq, bound)
         # (lo, hi, V(lo), V(hi), hi-is-a-root, depth); the variation difference
         # counts (lo, hi], so a root sitting exactly at hi must be discounted
         stack = [(-bound, bound, v_lo, v_hi, False, 0)]
@@ -310,7 +279,7 @@ class _Isolator:
                     intervals.append(clean)
                 continue
             mid = simplest_between(lo, hi) if depth % 2 == 0 else (lo + hi) / 2
-            vm = self.chain.variations(mid)
+            vm = _variations(self.seq, mid)
             hit = self.sign_at(mid) == 0
             if hit:
                 points.append(mid)
@@ -332,7 +301,7 @@ class _Isolator:
         if shi != 0:
             # simple interior root: the sign left of it is -shi
             return (lo, at) if s_at == shi else (at, hi)
-        return (lo, at) if self.chain.count(lo, at) >= 1 else (at, hi)
+        return (lo, at) if _count(self.seq, lo, at) >= 1 else (at, hi)
 
     def _ensure_clean(
         self, lo: Fraction, hi: Fraction
@@ -481,14 +450,11 @@ def is_real_rooted(f: Polynomial) -> Rootedness:
         raise ZeroPolynomialError("rootedness of the zero polynomial")
     if f.degree == 0:
         return Rootedness.REAL_SIMPLE
-    has_multiple = False
-    for g, mult in yun_decomposition(f):
-        chain = _SignChain(g)
-        if chain.count(NEG_INF, INF) < g.degree:
-            return Rootedness.NOT_REAL_ROOTED
-        if mult > 1:
-            has_multiple = True
-    if has_multiple:
+    # f has deg f - deg gcd(f, f') distinct complex roots
+    seq = _sturm_sequence(f)
+    if _count(seq, NEG_INF, INF) < f.degree - (len(seq[-1]) - 1):
+        return Rootedness.NOT_REAL_ROOTED
+    if len(seq[-1]) > 1:
         return Rootedness.REAL_WITH_MULTIPLICITY
     return Rootedness.REAL_SIMPLE
 
@@ -501,19 +467,19 @@ def roots_in_interval(
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise ValueError(f"need lo < hi, got ({lo}, {hi})")
-    if is_real_rooted(f) is Rootedness.NOT_REAL_ROOTED:
-        return False
-    fsq = squarefree_part(f)
-    if fsq.degree < 1:
+    if f.is_zero:
+        raise ZeroPolynomialError("rootedness of the zero polynomial")
+    if f.degree == 0:
         return True
-    chain = _SignChain(fsq)
-    total = chain.count(NEG_INF, INF)
-    inside = chain.count(lo, hi)
+    # real-rooted with every root inside iff all deg f - deg gcd(f, f')
+    # distinct roots are counted inside
+    seq = _sturm_sequence(f)
+    inside = _count(seq, lo, hi)
     if closed:
-        inside += 1 if fsq(lo) == 0 else 0
+        inside += _int_sign_at(seq[0], lo) == 0
     else:
-        inside -= 1 if fsq(hi) == 0 else 0
-    return inside == total
+        inside -= _int_sign_at(seq[0], hi) == 0
+    return inside == f.degree - (len(seq[-1]) - 1)
 
 
 def log_concavity_check(f: Polynomial) -> int | None:

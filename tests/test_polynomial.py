@@ -3,7 +3,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+import sympy
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from realroots import (
@@ -173,10 +174,29 @@ def test_division_algorithm(f, g):
     assert r.is_zero or r.degree < g.degree
 
 
-@given(polys, nonzero_polys)
+@given(polys, polys)
+@example(P(2, 3, 1), ZERO)
+@example(ZERO, P(-4, 0, 2))
+@example(ZERO, ZERO)
+@example(P(3), P(0, 1))
+@example(P(-1, 0, 1), P(5))
 def test_gcd_divides_both(f, g):
     d = gcd(f, g)
-    assert (f % d).is_zero and (g % d).is_zero
+    x = sympy.Symbol("x")
+    oracle = sympy.gcd(
+        sympy.Poly([sympy.Rational(c) for c in reversed(f.coeffs)] or [0], x, domain="QQ"),
+        sympy.Poly([sympy.Rational(c) for c in reversed(g.coeffs)] or [0], x, domain="QQ"),
+    )
+    expected = Polynomial([Fraction(str(c)) for c in reversed(oracle.all_coeffs())])
+    expected = expected.primitive()
+    if expected and expected.leading < 0:
+        expected = -expected
+    assert d == expected
+    if f.is_zero and g.is_zero:
+        assert d.is_zero
+    else:
+        assert d.is_standard and d.content() == 1
+        assert (f % d).is_zero and (g % d).is_zero
 
 
 @given(polys)

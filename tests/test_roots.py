@@ -184,6 +184,66 @@ class TestClassification:
         assert not roots_in_interval(P(1, 0, 1) * P(0, 1), -1, 0)
 
 
+# Products of rational linear factors with repeats, times optionally x^2 - 2
+# (irrational roots) and a positive-definite quadratic (a complex pair).
+_root_pool = st.sampled_from([Fraction(k, d) for k in range(-4, 5) for d in (1, 2, 3)])
+factored_polys = st.tuples(
+    st.lists(st.tuples(_root_pool, st.integers(1, 3)), min_size=1, max_size=4),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([1, -2, Fraction(3, 5)]),
+)
+
+
+def _build(spec):
+    linear, irrational, complex_pair, lead = spec
+    f = from_roots([r for r, mult in linear for _ in range(mult)], lead)
+    if irrational:
+        f = f * P(-2, 0, 1)
+    if complex_pair:
+        f = f * P(3, 1, 1)
+    return f, sorted({r for r, _ in linear})
+
+
+class TestDecisionOracle:
+    """is_real_rooted, roots_in_interval and count_roots against sympy, with
+    endpoints drawn from the roots themselves so that multiple roots sit on
+    the interval ends."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(factored_polys)
+    def test_is_real_rooted(self, spec):
+        f, _ = _build(spec)
+        real = to_sympy(f).real_roots()
+        if len(real) < f.degree:
+            expected = Rootedness.NOT_REAL_ROOTED
+        elif len(set(real)) < f.degree:
+            expected = Rootedness.REAL_WITH_MULTIPLICITY
+        else:
+            expected = Rootedness.REAL_SIMPLE
+        assert is_real_rooted(f) is expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(factored_polys, st.data())
+    def test_roots_in_interval_and_count(self, spec, data):
+        f, roots = _build(spec)
+        ends = roots + [roots[0] - 1, roots[-1] + Fraction(1, 2)]
+        lo = data.draw(st.sampled_from(ends))
+        hi = data.draw(st.sampled_from([e for e in ends if e > lo] or [lo + 1]))
+        real = to_sympy(f).real_roots()
+        slo, shi = sympy.Rational(lo), sympy.Rational(hi)
+        real_rooted = len(real) == f.degree
+        for closed in (True, False):
+            if closed:
+                inside = all(slo <= r <= shi for r in real)
+            else:
+                inside = all(slo < r < shi for r in real)
+            assert roots_in_interval(f, lo, hi, closed) == (real_rooted and inside)
+        assert count_roots(f, lo, hi) == len({r for r in real if slo < r <= shi})
+        assert count_roots(f, NEG_INF, hi) == len({r for r in real if r <= shi})
+        assert count_roots(f, lo, INF) == len({r for r in real if r > slo})
+
+
 class TestSquarefree:
     def test_squarefree_part_drops_multiplicity(self):
         f = from_roots([1, 1, 2])
