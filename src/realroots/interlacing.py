@@ -29,7 +29,7 @@ from .polynomial import Polynomial
 from .roots import (
     RootLocation,
     Rootedness,
-    count_roots,
+    _multiplicity_at,
     is_real_rooted,
     isolate_roots,
     squarefree_part,
@@ -89,19 +89,6 @@ class _Profile:
     mult_second: tuple[int, ...]
 
 
-def _multiplicity_at(
-    factors: Sequence[tuple[Polynomial, int]], loc: RootLocation
-) -> int:
-    """Multiplicity contributed by a factorization at one isolated location."""
-    for g, mult in factors:
-        if loc.is_exact:
-            if g(loc.point) == 0:
-                return mult
-        elif g.degree >= 1 and count_roots(g, loc.lo, loc.hi) == 1:
-            return mult
-    return 0
-
-
 def merged_profile(f: Polynomial, g: Polynomial) -> _Profile:
     """Locate the union of the real roots of f and g with per-input
     multiplicities.
@@ -112,14 +99,11 @@ def merged_profile(f: Polynomial, g: Polynomial) -> _Profile:
     """
     if f.is_zero or g.is_zero:
         raise ZeroPolynomialError("root profile of the zero polynomial")
-    product = f * g
-    if product.degree < 1:
-        return _Profile((), (), ())
-    locations = isolate_roots(squarefree_part(product))
-    ff = yun_decomposition(f) if f.degree >= 1 else []
-    gf = yun_decomposition(g) if g.degree >= 1 else []
-    mf = tuple(_multiplicity_at(ff, loc) for loc in locations)
-    mg = tuple(_multiplicity_at(gf, loc) for loc in locations)
+    locations = isolate_roots(squarefree_part(f * g))
+    ff = [(h.int_coeffs(), m) for h, m in yun_decomposition(f)]
+    gf = [(h.int_coeffs(), m) for h, m in yun_decomposition(g)]
+    mf = tuple(_multiplicity_at(ff, loc.lo, loc.hi) for loc in locations)
+    mg = tuple(_multiplicity_at(gf, loc.lo, loc.hi) for loc in locations)
     return _Profile(tuple(locations), mf, mg)
 
 

@@ -5,12 +5,15 @@ from ``polynomial._remainder_sequence``.  Its sign variations count the
 distinct real roots of f, also when f has multiple roots; its last entry is
 gcd(f, f'), so f is real-rooted iff the count on the whole line is
 deg f - deg gcd(f, f'), and simple-rooted iff that gcd is constant.
-Isolation returns disjoint open intervals with rational non-root endpoints,
-except that rational roots are pinned to exact points.
+Isolation runs once on the square-free part of f, the product of its Yun
+factors, and returns disjoint open intervals with rational non-root
+endpoints, except that rational roots are pinned to exact points.  Each
+location's multiplicity is read from the Yun factors by sign.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -242,7 +245,9 @@ class RootLocation:
 
 
 class _Isolator:
-    """Isolation and refinement for one primitive square-free integer polynomial."""
+    """Isolation and rationality certification for one primitive square-free
+    integer polynomial: its roots land in disjoint locations, and interval
+    endpoints are never its roots."""
 
     def __init__(self, g: Polynomial):
         self.g = g
@@ -306,7 +311,7 @@ class _Isolator:
     def _ensure_clean(
         self, lo: Fraction, hi: Fraction
     ) -> Fraction | tuple[Fraction, Fraction]:
-        """Shrink until neither endpoint is a root of this factor.
+        """Shrink until neither endpoint is a root of g.
 
         Returns the root itself if the shrinking happens to land on it.
         """
@@ -354,82 +359,49 @@ class _Isolator:
             else:
                 lo, slo = mid, sv
 
-    def narrow(
-        self, lo: Fraction, hi: Fraction, at: Fraction
-    ) -> tuple[Fraction, Fraction]:
-        """Shrink a single-root interval by splitting at an interior non-root."""
-        sv = self.sign_at(at)
-        if sv == 0:
-            raise ValueError("split point is a root")
-        return self._root_side(lo, hi, at, sv)
 
+def _multiplicity_at(
+    factors: Sequence[tuple[list[int], int]], lo: Fraction, hi: Fraction
+) -> int:
+    """Multiplicity at one location (lo == hi for an exact point) given Yun
+    factors as (integer coefficients, multiplicity) pairs; 0 if no factor has
+    a root there.
 
-@dataclass
-class _Node:
-    lo: Fraction
-    hi: Fraction
-    mult: int
-    iso: _Isolator | None  # None for exact points
-
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
-
-def _separate_nodes(nodes: list[_Node]) -> list[_Node]:
-    """Refine interval nodes holding roots of coprime factors until disjoint."""
-    changed = True
-    while changed:
-        changed = False
-        nodes.sort(key=lambda n: (n.lo, n.hi))
-        for a, b in zip(nodes, nodes[1:]):
-            if a.is_point and b.is_point:
-                continue
-            if a.is_point or b.is_point:
-                pt, iv = (a, b) if a.is_point else (b, a)
-                if iv.lo < pt.lo < iv.hi:
-                    # roles are coprime: the point cannot be iv's root
-                    iv.lo, iv.hi = iv.iso.narrow(iv.lo, iv.hi, pt.lo)
-                    changed = True
-                continue
-            if a.hi <= b.lo:
-                continue
-            # overlapping intervals around distinct irrational roots
-            cut = simplest_between(max(a.lo, b.lo), min(a.hi, b.hi))
-            for node in (a, b) if a.hi - a.lo >= b.hi - b.lo else (b, a):
-                if node.lo < cut < node.hi:
-                    node.lo, node.hi = node.iso.narrow(node.lo, node.hi, cut)
-                    changed = True
-                    break
-    return nodes
+    The location must come from isolating a square-free polynomial that every
+    factor divides.  An exact point is a root of the factor that vanishes
+    there.  An interval holds one root and its ends are roots of no factor,
+    so the root belongs to the one factor whose sign differs at the two ends.
+    """
+    for cs, mult in factors:
+        if lo == hi:
+            if _int_sign_at(cs, lo) == 0:
+                return mult
+        elif _int_sign_at(cs, lo) != _int_sign_at(cs, hi):
+            return mult
+    return 0
 
 
 def isolate_roots(f: Polynomial) -> list[RootLocation]:
     """Locate every distinct real root of f with its multiplicity, in order.
 
-    Rational roots come back as exact points; irrational roots as disjoint
-    open intervals whose rational endpoints are not roots of f.
+    One isolation of the square-free part of f (the product of its Yun
+    factors) gives the locations; multiplicities are read from the Yun
+    factors by sign.  Rational roots come back as exact points; irrational
+    roots as disjoint open intervals whose rational endpoints are not roots
+    of f.
     """
     factors = yun_decomposition(f)
-    nodes: list[_Node] = []
-    for g, mult in factors:
-        iso = _Isolator(g)
-        points, intervals = iso.isolate()
-        for p in points:
-            nodes.append(_Node(p, p, mult, None))
-        for lo, hi in intervals:
-            located = iso.certify(lo, hi)
-            if isinstance(located, Fraction):
-                nodes.append(_Node(located, located, mult, None))
-            else:
-                nodes.append(_Node(located[0], located[1], mult, iso))
-    _separate_nodes(nodes)
-    for n in nodes:
-        # an interval endpoint may coincide with a rational root of another
-        # factor; keep the promise that endpoints are never roots of f
-        while not n.is_point and (f(n.lo) == 0 or f(n.hi) == 0):
-            n.lo, n.hi = n.iso.narrow(n.lo, n.hi, simplest_between(n.lo, n.hi))
-    return [RootLocation(n.lo, n.hi, n.mult) for n in nodes]
+    iso = _Isolator(math.prod((g for g, _ in factors), start=Polynomial([1])))
+    points, intervals = iso.isolate()
+    spans = [(p, p) for p in points]
+    for lo, hi in intervals:
+        located = iso.certify(lo, hi)
+        spans.append((located, located) if isinstance(located, Fraction) else located)
+    int_factors = [(g.int_coeffs(), mult) for g, mult in factors]
+    return [
+        RootLocation(lo, hi, _multiplicity_at(int_factors, lo, hi))
+        for lo, hi in sorted(spans)
+    ]
 
 
 # -- classification -----------------------------------------------------------

@@ -5,9 +5,15 @@ asserted directly.
 """
 
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
+import sympy
 
+import realroots
 from realroots import Polynomial
 from realroots import suites as suites_module
 from realroots.cli import main
@@ -33,6 +39,47 @@ class TestRoots:
     def test_isolate_irrational(self, capsys):
         data = run_json(capsys, "roots", "isolate", "-2 0 1")
         assert all(not r["exact"] for r in data["roots"])
+
+    def test_isolate_returns_on_repeated_factor(self):
+        # f = (x^2 - 2)^2 (3x^2 + 5x - 12)(3x^2 - x - 5) / 9, whose roots 4/3
+        # and (1 + sqrt 61)/6 lie either side of the double root sqrt 2.  A
+        # subprocess with a timeout turns a hang into a failure.
+        src = os.path.dirname(os.path.dirname(realroots.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys; from realroots.cli import main; "
+                "sys.exit(main(sys.argv[1:]))",
+                "roots",
+                "isolate",
+                "80/3 -52/9 -464/9 100/9 320/9 -61/9 -92/9 4/3 1",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        s2, s61 = sympy.sqrt(2), sympy.sqrt(61)
+        expected = [
+            (sympy.Integer(-3), 1),
+            (-s2, 2),
+            ((1 - s61) / 6, 1),
+            (sympy.Rational(4, 3), 1),
+            (s2, 2),
+            ((1 + s61) / 6, 1),
+        ]
+        roots = json.loads(proc.stdout)["roots"]
+        assert len(roots) == len(expected)
+        for loc, (r, mult) in zip(roots, expected):
+            assert loc["multiplicity"] == mult
+            if r.is_rational:
+                assert loc["exact"] and sympy.Rational(loc["point"]) == r
+            else:
+                assert not loc["exact"]
+                assert sympy.Rational(loc["lo"]) < r < sympy.Rational(loc["hi"])
 
     def test_count(self, capsys):
         data = run_json(capsys, "roots", "count", "-2 0 1", "0", "2")
@@ -179,6 +226,35 @@ class TestPoset:
         )
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+    def test_verify_deletion_flags_double_root_not_shared(self, capsys):
+        # P = {v0, v1, v2} < {v3, v4}, v4 < v5.  E(P) has a double root at
+        # -2/3 that E(P minus v4) misses, and a polynomial that interlaces f
+        # vanishes at every multiple root of f, so only that deletion fails.
+        below = [[low, high] for low in ("v0", "v1", "v2") for high in ("v3", "v4")]
+        doc = json.dumps(
+            {
+                "elements": ["v0", "v1", "v2", "v3", "v4", "v5"],
+                "covers": below + [["v4", "v5"]],
+                "labels": {"v0": 6, "v1": 3, "v2": 2, "v3": 5, "v4": 4, "v5": 1},
+            }
+        )
+        code, out, _ = run_cli(capsys, "poset", "verify-deletion", doc)
+        assert code == 1
+        data = json.loads(out)
+        assert [d["deleted"] for d in data["deletions"] if not d["interlaces"]] == ["v4"]
+        assert data["polynomial"] == "0 0 0 8 32 42 18"
+        small = next(d for d in data["deletions"] if d["deleted"] == "v4")
+        assert small["polynomial"] == "0 0 1 11 22 12"
+
+        def value(coeffs, x):
+            return sum(c * x**k for k, c in enumerate(coeffs))
+
+        big = [0, 0, 0, 8, 32, 42, 18]
+        x = Fraction(-2, 3)
+        assert value(big, x) == 0
+        assert value([k * c for k, c in enumerate(big)][1:], x) == 0
+        assert value([0, 0, 1, 11, 22, 12], x) != 0
 
     def test_malformed_dsl_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "poset", "epoly", "s0(L")

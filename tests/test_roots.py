@@ -126,10 +126,14 @@ class TestIsolation:
             )
 
     def test_endpoints_are_never_roots(self):
-        f = P(-2, 0, 1) * from_roots([Fraction(3, 2)])
-        for loc in isolate_roots(f):
-            if not loc.is_exact:
-                assert f(loc.lo) != 0 and f(loc.hi) != 0
+        for f in (
+            P(-2, 0, 1) * from_roots([Fraction(3, 2)]),
+            # a double sqrt 2 between 7/5 and the simple root sqrt 2.0001
+            P(-2, 0, 1) ** 2 * P(-20001, 0, 10000) * from_roots([Fraction(7, 5)]),
+        ):
+            for loc in isolate_roots(f):
+                if not loc.is_exact:
+                    assert f(loc.lo) != 0 and f(loc.hi) != 0
 
     def test_zero_poly_rejected(self):
         with pytest.raises(ZeroPolynomialError):
@@ -147,22 +151,67 @@ class TestIsolation:
         assert ours == set(map(Fraction, roots))
 
 
+def _oracle_roots(f: Polynomial) -> list[list]:
+    """Distinct real roots of f with multiplicities, in order, from sympy,
+    which repeats a multiple root as the same object."""
+    distinct: list[list] = []
+    for r in to_sympy(f).real_roots():
+        if distinct and distinct[-1][0] == r:
+            distinct[-1][1] += 1
+        else:
+            distinct.append([r, 1])
+    return distinct
+
+
+def _assert_locations_match(f: Polynomial) -> None:
+    locs = isolate_roots(f)
+    oracle = _oracle_roots(f)
+    assert len(locs) == len(oracle)
+    for loc, (r, mult) in zip(locs, oracle):
+        assert loc.multiplicity == mult
+        if loc.is_exact:
+            assert sympy.Rational(loc.point) == r
+        else:
+            assert not r.is_rational
+            assert sympy.Rational(loc.lo) < r < sympy.Rational(loc.hi)
+
+
+# Factors with irrational or complex roots: 10000x^2 - 20001 has roots next
+# to +-sqrt 2, and (3x - 4)(x + 3)(3x^2 - x - 5) shares 4/3 and -3 with the
+# rational linear factors and has a root next to sqrt 2.
+_FACTOR_POOL = [
+    P(-2, 0, 1),
+    P(-3, 0, 1),
+    P(-20001, 0, 10000),
+    P(1, 0, 1),
+    P(-1, -1, 1),
+    P(-5, 0, 0, 1),
+    P(60, -13, -56, 12, 9),
+]
+
+
+def _multi_factor_product(seed: int) -> Polynomial:
+    """Product of 1-4 factors, each raised to a power of 1-3."""
+    rng = random.Random(seed)
+    f = P(1)
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.35:
+            factor = from_roots([Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))])
+        else:
+            factor = rng.choice(_FACTOR_POOL)
+        f = f * factor ** rng.randint(1, 3)
+    return f
+
+
 class TestIsolationOracle:
     @settings(max_examples=30, deadline=None)
     @given(small_polys)
     def test_locations_match_computer_algebra(self, f):
-        locs = isolate_roots(f)
-        oracle = to_sympy(f).real_roots()
-        distinct = []
-        for r in oracle:
-            if not distinct or sympy.simplify(distinct[-1] - r) != 0:
-                distinct.append(r)
-        assert len(locs) == len(distinct)
-        for loc, r in zip(locs, distinct):
-            if loc.is_exact:
-                assert sympy.Rational(loc.point) == r
-            else:
-                assert sympy.Rational(loc.lo) < r < sympy.Rational(loc.hi)
+        _assert_locations_match(f)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_multi_factor_products(self, seed):
+        _assert_locations_match(_multi_factor_product(seed))
 
 
 class TestClassification:
