@@ -19,7 +19,7 @@ product multiplicity), never by interval coincidence.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
@@ -144,7 +144,13 @@ def _check_order(
     if hit is None:
         return True, None, ""
     i, j, what = hit
-    return False, (profile.locations[i], profile.locations[j]), what
+    # profile locations isolate a square-free product; a witness reports the
+    # multiplicity each root has in its own input
+    witness = (
+        replace(profile.locations[i], multiplicity=ma[i]),
+        replace(profile.locations[j], multiplicity=mb[j]),
+    )
+    return False, witness, what
 
 
 def alternates(f: Polynomial, g: Polynomial) -> InterlaceVerdict:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -312,86 +312,72 @@ def count_surjective_partitions(p: LabelledPoset, k: int) -> int:
     return count_from(0, 0, 0)
 
 
-def _strict_above_masks(p: LabelledPoset) -> list[int]:
-    """For each element index, the mask of strictly-above elements whose
-    label is smaller (the pairs that may not share a layer)."""
-    n = len(p)
-    elements = p.elements
-    masks = [0] * n
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            if p.less(a, b) and p.label(a) > p.label(b):
-                masks[i] |= 1 << j
-    return masks
-
-
-def _down_masks(p: LabelledPoset) -> list[int]:
-    n = len(p)
-    elements = p.elements
-    masks = [0] * n
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            if p.less(b, a):
-                masks[i] |= 1 << j
-    return masks
-
-
 def e_polynomial(p: LabelledPoset) -> Polynomial:
     """Layer-count generating polynomial: coefficient of x^k is the number
     of surjective valid layerings onto [k]; the empty poset gives 1.
 
-    Computed by dynamic programming over the lattice of down-sets: a valid
-    layering is a strictly increasing chain of down-sets whose consecutive
-    differences contain no label-increasing comparable pair.  This agrees
-    with direct enumeration (tested) and is fast enough for exhaustive
-    sweeps.
+    Computed from Stanley's fundamental lemma on (P, omega)-partitions: listing
+    each layer's elements in increasing label order, bottom layer first,
+    turns a layering into a linear extension, and a linear extension with d
+    descents (consecutive elements whose labels drop) comes from exactly
+    C(n-1-d, k-1-d) layerings onto [k], which must cut at each descent and
+    may cut anywhere else.  So E(x) = sum_d w_d x^(d+1) (1+x)^(n-1-d), where
+    w_d counts the linear extensions with d descents.
+
+    The w_d are counted by dynamic programming over states (order ideal I,
+    element added last), building the ideals level by level from the empty
+    one; an element may be added once all of its lower covers are in I.  The
+    cost is about sum_I |max I| * |min(P minus I)| state updates, so it
+    follows the number of order ideals: n + 1 for a chain, 2^n for an
+    antichain.
+    `count_surjective_partitions` counts by direct enumeration and is the
+    independent oracle the tests compare this with.
     """
     n = len(p)
     if n == 0:
         return ONE
-    down = _down_masks(p)
-    strict_up = _strict_above_masks(p)
-
-    ideals = []
-    for mask in range(1 << n):
-        m = mask
-        ok = True
-        while m:
-            i = (m & -m).bit_length() - 1
-            if down[i] & ~mask:
-                ok = False
-                break
-            m &= m - 1
-        if ok:
-            ideals.append(mask)
-    ideal_set = set(ideals)
-    ideals.sort(key=lambda m: bin(m).count("1"))
-
-    def block_free(s: int) -> bool:
-        m = s
-        while m:
-            i = (m & -m).bit_length() - 1
-            if strict_up[i] & s:
-                return False
-            m &= m - 1
-        return True
-
-    ways: dict[int, list[int]] = {0: [1] + [0] * n}
-    for mask in ideals:
-        if mask == 0:
-            continue
-        acc = [0] * (n + 1)
-        s = mask
-        while s:
-            rest = mask ^ s
-            if rest in ideal_set and block_free(s):
-                prev = ways[rest]
-                for j in range(n):
-                    if prev[j]:
-                        acc[j + 1] += prev[j]
-            s = (s - 1) & mask
-        ways[mask] = acc
-    return Polynomial(Fraction(c) for c in ways[(1 << n) - 1])
+    labels = [p._labels[e] for e in p._elements]
+    down = [sum(1 << j for j in below) for below in p._downcov]
+    drops = [sum(1 << m for m in range(n) if labels[m] < lab) for lab in labels]
+    # Each state's counts w_0, w_1, ... are packed into one int, w_d in bits
+    # [d*width, (d+1)*width).  Every count is at most n!, so a slot never
+    # carries into the next: a descent step is a shift and a merge a sum.
+    width = factorial(n).bit_length() + 1
+    full = (1 << n) - 1
+    # level[last] maps each ideal whose element added last is `last` to its
+    # packed counts; a consumed dict is dropped at once to bound peak memory.
+    level: list[dict[int, int] | None] = [
+        None if down[m] else {1 << m: 1} for m in range(n)
+    ]
+    for _ in range(n - 1):
+        nxt: list[dict[int, int] | None] = [None] * n
+        for last in range(n):
+            states, level[last] = level[last], None
+            if not states:
+                continue
+            drop = drops[last]
+            for ideal, w in states.items():
+                shifted = w << width
+                free = full & ~ideal
+                while free:
+                    bit = free & -free
+                    free ^= bit
+                    m = bit.bit_length() - 1
+                    if down[m] & ~ideal:
+                        continue
+                    target = nxt[m]
+                    if target is None:
+                        target = nxt[m] = {}
+                    key = ideal | bit
+                    target[key] = target.get(key, 0) + (shifted if drop & bit else w)
+        level = nxt
+    packed = sum(states[full] for states in level if states)
+    slot = (1 << width) - 1
+    w = [packed >> (d * width) & slot for d in range(n)]
+    coeffs = [0] + [
+        sum(w[d] * comb(n - 1 - d, k - 1 - d) for d in range(k)) for k in range(1, n + 1)
+    ]
+    return Polynomial(Fraction(c) for c in coeffs)
 
 
 def _binomial_poly(k: int) -> Polynomial:

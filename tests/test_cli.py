@@ -6,9 +6,11 @@ asserted directly.
 
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 import sympy
@@ -125,6 +127,25 @@ class TestInterlace:
         data = run_json(capsys, "interlace", "alternates", "-1 0 1", "-4 0 1")
         assert data["relation"] == "none"
         assert data["witness"]
+
+    def test_alternates_witness_at_double_point(self, capsys):
+        # 0 is a double root of x^2: the witness reports it with multiplicity 2
+        data = run_json(capsys, "interlace", "alternates", "--", "0 0 1", "-1 0 1")
+        assert data["relation"] == "none"
+        one, zero = data["witness"]
+        assert (one["point"], one["multiplicity"]) == ("1", 1)
+        assert (zero["point"], zero["multiplicity"]) == ("0", 2)
+
+    def test_alternates_witness_around_double_root(self, capsys):
+        # (x^2-2)^2 against x^3-3x: the witness interval holds -sqrt 2, double
+        data = run_json(
+            capsys, "interlace", "alternates", "--", "4 0 -4 0 1", "0 -3 0 1"
+        )
+        first, second = data["witness"]
+        assert Fraction(first["lo"]) < -sympy.sqrt(2) < Fraction(first["hi"])
+        assert first["multiplicity"] == 2
+        assert Fraction(second["lo"]) < -sympy.sqrt(3) < Fraction(second["hi"])
+        assert second["multiplicity"] == 1
 
     def test_probe_pass(self, capsys):
         code, out, _ = run_cli(
@@ -255,6 +276,26 @@ class TestPoset:
         assert value(big, x) == 0
         assert value([k * c for k, c in enumerate(big)][1:], x) == 0
         assert value([0, 0, 1, 11, 22, 12], x) != 0
+
+    def test_epoly_antichain_of_14_dsl_and_shuffled_json(self, capsys):
+        dsl = "L"
+        for _ in range(13):
+            dsl = f"du(L,{dsl})"
+        doc = realroots.poset_to_json_dict(realroots.sp_build(realroots.parse_sp(dsl)))
+        rng = random.Random(14)
+        rng.shuffle(doc["elements"])
+        rng.shuffle(doc["covers"])
+        code, from_dsl, _ = run_cli(capsys, "poset", "epoly", dsl)
+        assert code == 0
+        code, from_json, _ = run_cli(capsys, "poset", "epoly", json.dumps(doc))
+        assert code == 0
+        assert from_dsl == from_json
+        # an antichain's layerings onto [k] are the surjections onto [k]
+        surjections = [
+            sum((-1) ** j * comb(k, j) * (k - j) ** 14 for j in range(k + 1))
+            for k in range(15)
+        ]
+        assert json.loads(from_dsl)["coefficients"] == [str(c) for c in surjections]
 
     def test_malformed_dsl_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "poset", "epoly", "s0(L")

@@ -14,6 +14,7 @@ from realroots import (
     InputFormatError,
     LabelledPoset,
     OutOfRangeError,
+    Partition,
     Polynomial,
     SPExpression,
     count_surjective_partitions,
@@ -23,6 +24,8 @@ from realroots import (
     e_inverse,
     e_operator,
     e_polynomial,
+    ferrers_e_poly,
+    ferrers_poset,
     order_polynomial,
     ordinal_sum,
     parse_sp,
@@ -33,6 +36,7 @@ from realroots import (
     sp_build,
 )
 from realroots.generators import (
+    all_labellings,
     random_labelled_poset,
     random_sp_expression,
 )
@@ -206,11 +210,31 @@ class TestLayerCounts:
 
     def test_dp_matches_enumeration(self):
         rng = random.Random(10)
-        for _ in range(25):
-            p = random_labelled_poset(rng, 6)
+        n_poset = LabelledPoset(
+            "abcd", [("a", "c"), ("b", "c"), ("b", "d")], {"a": 1, "b": 2, "c": 3, "d": 4}
+        )
+        enumerated = [random_labelled_poset(rng, 7) for _ in range(25)]
+        enumerated += list(all_labellings(n_poset))
+        for p in enumerated:
             e = e_polynomial(p)
             for k in range(1, len(p) + 1):
                 assert e.coefficient(k) == count_surjective_partitions(p, k)
+        # antichains fill the packed descent slots most: E counts surjections
+        for n in range(1, 9):
+            antichain = LabelledPoset(
+                [f"a{i}" for i in range(n)], [], {f"a{i}": i for i in range(n)}
+            )
+            surjections = [_surjections(n, k) for k in range(1, n + 1)]
+            assert e_polynomial(antichain) == P(0, *surjections)
+        chain = [f"c{i}" for i in range(22)]
+        covers = list(zip(chain, chain[1:]))
+        natural = LabelledPoset(chain, covers, {c: i for i, c in enumerate(chain)})
+        reversed_ = relabel(natural, {c: -i for i, c in enumerate(chain)})
+        assert e_polynomial(natural) == P(0, 1) * P(1, 1) ** 21
+        assert e_polynomial(reversed_) == P(0, 1) ** 22
+        for shape in [(6, 5, 4, 3, 2, 1), (10, 8, 6, 4, 2), (8, 7, 6, 5, 4, 3, 2, 1)]:
+            lam = Partition(shape)
+            assert e_polynomial(ferrers_poset(lam)) == ferrers_e_poly(lam)
 
     def test_relabelling_by_order_isomorphism_preserves_counts(self):
         p = chain2_natural()
@@ -224,6 +248,11 @@ def _binomial(m: int, k: int) -> int:
     for i in range(k):
         out = out * (m - i) // (i + 1)
     return out
+
+
+def _surjections(n: int, k: int) -> int:
+    """k! S(n, k) by inclusion-exclusion over the missed values."""
+    return sum((-1) ** j * _binomial(k, j) * (k - j) ** n for j in range(k + 1))
 
 
 class TestBasisChange:
