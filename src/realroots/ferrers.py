@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterator, Sequence
 
 from .errors import EmptyPartitionError, InputFormatError
@@ -97,14 +98,7 @@ def hooks_and_contents(shape: Partition) -> dict[Cell, tuple[int, int]]:
 
 
 def hook_product(shape: Partition) -> int:
-    return _product(h for h, _ in hooks_and_contents(shape).values())
-
-
-def _product(values) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out
+    return prod(h for h, _ in hooks_and_contents(shape).values())
 
 
 def hook_content_order_poly(shape: Partition) -> Polynomial:
@@ -115,19 +109,6 @@ def hook_content_order_poly(shape: Partition) -> Polynomial:
     return out
 
 
-def young_covers_down(shape: Partition) -> list[Partition]:
-    """All partitions obtained by removing one removable corner cell."""
-    if shape.is_empty:
-        raise EmptyPartitionError("the empty partition has no covers below")
-    out = []
-    parts = shape.parts
-    for i, length in enumerate(parts):
-        if i + 1 == len(parts) or parts[i + 1] < length:
-            smaller = parts[:i] + (length - 1,) + parts[i + 1 :]
-            out.append(Partition(tuple(v for v in smaller if v > 0)))
-    return out
-
-
 def corner_cells(shape: Partition) -> list[Cell]:
     """Removable corners, one per cover below, in row order."""
     parts = shape.parts
@@ -135,6 +116,18 @@ def corner_cells(shape: Partition) -> list[Cell]:
         (i + 1, length)
         for i, length in enumerate(parts)
         if i + 1 == len(parts) or parts[i + 1] < length
+    ]
+
+
+def young_covers_down(shape: Partition) -> list[Partition]:
+    """All partitions obtained by removing one removable corner cell, in the
+    row order of `corner_cells`."""
+    if shape.is_empty:
+        raise EmptyPartitionError("the empty partition has no covers below")
+    parts = shape.parts
+    return [
+        Partition(tuple(v for v in parts[: i - 1] + (j - 1,) + parts[i:] if v))
+        for i, j in corner_cells(shape)
     ]
 
 

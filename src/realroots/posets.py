@@ -380,54 +380,51 @@ def e_polynomial(p: LabelledPoset) -> Polynomial:
     return Polynomial(Fraction(c) for c in coeffs)
 
 
-def _binomial_poly(k: int) -> Polynomial:
-    """The polynomial x(x-1)...(x-k+1)/k!."""
-    out = ONE
-    for i in range(k):
-        out = out * (X - i)
-    return out * Fraction(1, factorial(k))
-
-
 def order_polynomial(p: LabelledPoset) -> Polynomial:
     """Polynomial whose value at integer m >= 0 counts valid layerings with
     values in [m] (no surjectivity): sum of e_k times x-choose-k."""
-    e = e_polynomial(p)
-    if p.is_empty:
-        return ONE
-    out = Polynomial()
-    for k in range(1, len(p) + 1):
-        c = e.coefficient(k)
-        if c:
-            out = out + _binomial_poly(k) * c
-    return out
+    return e_inverse(e_polynomial(p))
 
 
 # -- basis change -------------------------------------------------------------
+
+
+def _binomial_values(f: Polynomial, m: int) -> list[Fraction]:
+    """Values of e_inverse(f) = sum_k a_k x-choose-k at x = 0..m."""
+    return [
+        sum(c * comb(x, k) for k, c in enumerate(f.coeffs[: x + 1]))
+        for x in range(m + 1)
+    ]
+
+
+def _differences(values: Sequence[Fraction]) -> Polynomial:
+    """sum_k D^k x^k, where D^k is the k-th forward difference at 0 of the
+    table values[x], x = 0, 1, ...: the image under e_operator of the
+    polynomial of degree < len(values) taking those values."""
+    row = list(values)
+    coeffs = []
+    while row:
+        coeffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return Polynomial(coeffs)
 
 
 def e_operator(f: Polynomial) -> Polynomial:
     """Basis change sending x-choose-k to x^k.
 
     The coefficient of x-choose-k in f is the k-th forward difference of f
-    at 0, so the image is built from a difference table.
+    at 0, so the image is read off the difference table of f(0..deg f).
     """
-    if f.is_zero:
-        return Polynomial()
-    d = int(f.degree)
-    row = [f(i) for i in range(d + 1)]
-    coeffs = []
-    for _ in range(d + 1):
-        coeffs.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
-    return Polynomial(coeffs)
+    return _differences([f(x) for x in range(len(f.coeffs))])
 
 
 def e_inverse(f: Polynomial) -> Polynomial:
     """Inverse basis change: substitute x-choose-k for each monomial x^k."""
     out = Polynomial()
+    binomial = ONE
     for k, c in enumerate(f.coeffs):
-        if c:
-            out = out + _binomial_poly(k) * c
+        out = out + binomial * c
+        binomial = binomial * (X - k) * Fraction(1, k + 1)
     return out
 
 

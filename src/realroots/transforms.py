@@ -22,6 +22,7 @@ from math import factorial
 from .errors import PreconditionFailedError
 from .interlacing import interlaces
 from .polynomial import NEG_INF, Polynomial, gcd
+from .posets import _binomial_values, _differences
 from .roots import (
     INF,
     Rootedness,
@@ -41,19 +42,17 @@ def schur_product(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def diamond(f: Polynomial, g: Polynomial) -> Polynomial:
-    """sum_n (f^(n)(x)/n!) (g^(n)(x)/n!) x^n (x+1)^n, expanded exactly."""
-    out = Polynomial()
-    shifted = Polynomial([0, 1, 1])  # x(x+1)
-    power = Polynomial([1])
-    fn, gn = f, g
-    n = 0
-    while not fn.is_zero and not gn.is_zero:
-        k = Fraction(1, factorial(n) ** 2)
-        out = out + fn * gn * power * k
-        fn, gn = fn.derivative(), gn.derivative()
-        power = power * shifted
-        n += 1
-    return out
+    """sum_n (f^(n)(x)/n!) (g^(n)(x)/n!) x^n (x+1)^n, expanded exactly.
+
+    This equals e_operator(e_inverse(f) * e_inverse(g)), which is how it is
+    computed: the product has degree deg f + deg g, so it is fixed by its
+    values at 0..deg f + deg g, the pointwise products of the two value
+    tables of e_inverse; its image is the forward-difference table of those
+    products at 0.  A zero input gives a table of zeros and the zero image.
+    """
+    m = len(f.coeffs) + len(g.coeffs) - 2
+    products = [a * b for a, b in zip(_binomial_values(f, m), _binomial_values(g, m))]
+    return _differences(products)
 
 
 def alt_diamond(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -131,17 +130,15 @@ def lphi_diamond(f: Polynomial, h: Polynomial, xi: Fraction) -> Polynomial:
 
 
 def d_phi_diamond(f: Polynomial, h: Polynomial) -> int | float:
-    """Largest n with f^(n) diamond h nonzero, by direct scan; the degree
-    marker -inf when every term vanishes (f = 0 or h = 0)."""
-    last = NEG_INF
-    fn = f
-    n = 0
-    while not fn.is_zero:
-        if not diamond(fn, h).is_zero:
-            last = n
-        fn = fn.derivative()
-        n += 1
-    return last
+    """Largest n with f^(n) diamond h nonzero; the degree marker -inf when
+    every term vanishes (f = 0 or h = 0).
+
+    f^(n) diamond h is the e_operator image of e_inverse(f^(n)) * e_inverse(h).
+    Both basis changes are linear bijections and Q[x] has no zero divisors,
+    so the term is nonzero exactly when f^(n) and h are: for n <= deg f
+    whenever h is nonzero.
+    """
+    return NEG_INF if h.is_zero else f.degree
 
 
 @dataclass(frozen=True)

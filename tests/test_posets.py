@@ -261,9 +261,12 @@ class TestBasisChange:
 
     def test_inverse_pair(self):
         rng = random.Random(12)
-        for _ in range(20):
-            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(6)]
-            f = Polynomial(coeffs)
+        polys = [Polynomial()] + [
+            Polynomial(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(deg + 1))
+            for deg in range(13)
+            for _ in range(3)
+        ]
+        for f in polys:
             assert e_operator(e_inverse(f)) == f
             assert e_inverse(e_operator(f)) == f
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -78,6 +79,34 @@ class TestDiamond:
     def test_degree_adds(self):
         f, g = from_roots([1, 2]), from_roots([-3])
         assert diamond(f, g).degree == 3
+
+    def test_matches_derivative_sum(self):
+        rng = random.Random(20)
+
+        def arbitrary(deg: int) -> Polynomial:
+            return Polynomial(
+                Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(deg + 1)
+            )
+
+        pairs = [(ZERO, ZERO), (ZERO, arbitrary(7)), (P(5), P(-2)), (P(0, 0, 1), P(1, 0, 1))]
+        for _ in range(40):
+            f = arbitrary(rng.randint(0, 20))
+            g = random_real_rooted(rng, 20, standard=False, min_deg=0)
+            pairs += [(f, g), (g, arbitrary(rng.randint(0, 4)))]
+        for f, g in pairs:
+            assert diamond(f, g) == _derivative_sum(f, g)
+
+
+def _derivative_sum(f: Polynomial, g: Polynomial) -> Polynomial:
+    """diamond by its defining sum, term by term."""
+    out = ZERO
+    fn, gn, power, n = f, g, ONE, 0
+    while not fn.is_zero and not gn.is_zero:
+        out = out + fn * gn * power * Fraction(1, factorial(n) ** 2)
+        fn, gn = fn.derivative(), gn.derivative()
+        power = power * P(0, 1, 1)
+        n += 1
+    return out
 
 
 class TestAltDiamond:
@@ -174,12 +203,24 @@ class TestDegreeBound:
     def test_constant(self):
         assert d_phi_diamond(P(5), P(0, 1)) == 0
 
-    def test_matches_degree_for_nonzero_inputs(self):
+    def test_matches_scan_of_derivative_images(self):
         rng = random.Random(4)
-        for _ in range(20):
-            f = random_real_rooted(rng, 6, standard=False)
-            h = random_interval_rooted(rng, 5)
-            assert d_phi_diamond(f, h) == f.degree
+        pairs = [
+            (random_real_rooted(rng, 6, standard=False), random_interval_rooted(rng, 5))
+            for _ in range(20)
+        ]
+        pairs += [
+            (random_real_rooted(rng, 6, standard=False), ZERO),
+            (P(1, 0, 1), P(2, -1, 3)),
+            (P(-1, 0, 0, 1), P(5, 0, 1)),
+            (ZERO, P(1, 0, 1)),
+        ]
+        for f, h in pairs:
+            scan = max(
+                (n for n in range(len(f.coeffs)) if diamond(f.derivative(n), h)),
+                default=NEG_INF,
+            )
+            assert d_phi_diamond(f, h) == scan == (NEG_INF if h.is_zero else f.degree)
 
 
 class TestAplusMembership:
