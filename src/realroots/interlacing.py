@@ -9,11 +9,15 @@ a_1 <= ... <= a_d (first argument) and b_1 <= ... <= b_e (second) are
   * in the interlacing relation, "second interlaces first", when
     d == e + 1 and a_1 <= b_1 <= a_2 <= ... <= b_{d-1} <= a_d.
 
-Strict variants require every inequality to be strict.  Root multisets are
-compared through a single isolation of the square-free part of the product:
-distinct roots land in disjoint locations and shared roots land in the same
-one, so equality is certified exactly (the shared factor is what raises the
-product multiplicity), never by interval coincidence.
+Strict variants require every inequality to be strict.  A verdict reads one
+signed remainder sequence of the pair, larger degree f first: V(-inf) -
+V(+inf), from leading signs and degrees, is the Cauchy index I of g/f, and
+the last entry d is gcd(f, g).  By Hermite-Kakeya-Obreschkoff, f/d and g/d
+have real, simple, strictly interleaving roots iff |I| = deg f - deg d; the
+pair then interleaves weakly iff d is real-rooted, strictly iff d is
+constant, and for equal degrees the sign of I says whose roots come first.
+Roots are located only for the witness of a failed verdict, by one
+isolation of the square-free part of f*g.
 """
 
 from __future__ import annotations
@@ -25,11 +29,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import PreconditionFailedError, ZeroPolynomialError
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _remainder_sequence
 from .roots import (
+    INF,
+    NEG_INF,
     RootLocation,
     Rootedness,
     _multiplicity_at,
+    _variations,
     is_real_rooted,
     isolate_roots,
     squarefree_part,
@@ -59,7 +66,8 @@ class InterlaceVerdict:
     swapped means the relation holds with the two arguments exchanged (for
     the interlacing relations: the first argument interlaces the second).
     witness carries a violating pair of root locations when a chain
-    inequality failed in the orientation tried last.
+    inequality failed: in the chain with the larger-degree input's roots
+    first, and with the second input's roots first for equal degrees.
     """
 
     relation: Relation
@@ -107,14 +115,6 @@ def merged_profile(f: Polynomial, g: Polynomial) -> _Profile:
     return _Profile(tuple(locations), mf, mg)
 
 
-def _expand(mults: Sequence[int]) -> list[int]:
-    """Sorted root multiset as a list of location indices."""
-    out: list[int] = []
-    for index, m in enumerate(mults):
-        out.extend([index] * m)
-    return out
-
-
 def _chain_violation(
     a: Sequence[int], b: Sequence[int], strict: bool
 ) -> tuple[int, int, str] | None:
@@ -139,7 +139,8 @@ def _check_order(
     input; works for both the equal-degree and the degree-step case."""
     ma = profile.mult_first if first_is_a else profile.mult_second
     mb = profile.mult_second if first_is_a else profile.mult_first
-    a, b = _expand(ma), _expand(mb)
+    # each sorted root multiset as a list of location indices
+    a, b = ([i for i, m in enumerate(ms) for _ in range(m)] for ms in (ma, mb))
     hit = _chain_violation(a, b, strict)
     if hit is None:
         return True, None, ""
@@ -153,13 +154,28 @@ def _check_order(
     return False, witness, what
 
 
+def _sequence_verdict(f: Polynomial, g: Polynomial) -> tuple[bool, bool, int]:
+    """(weak, strict, I) for deg f >= deg g, read from one remainder sequence
+    of (f, g): the index I = V(-inf) - V(+inf) and the gcd d, its last entry.
+    """
+    seq = _remainder_sequence(f.int_coeffs(), g.int_coeffs())
+    index = _variations(seq, NEG_INF) - _variations(seq, INF)
+    d = seq[-1]
+    weak = abs(index) == len(seq[0]) - len(d) and (
+        len(d) == 1 or is_real_rooted(Polynomial(d)) is not Rootedness.NOT_REAL_ROOTED
+    )
+    return weak, weak and len(d) == 1, index
+
+
 def alternates(f: Polynomial, g: Polynomial) -> InterlaceVerdict:
     """Classify how the root multisets of f and g interleave.
 
     Equal degrees are classified as (strictly) alternating, a degree gap of
     one as (strict) interlacing of the lower-degree input, and anything else
     (or a non-real-rooted input) as no relation.  The verdict reports the
-    orientation that holds; when both hold the unswapped one is preferred.
+    orientation that holds; when both hold (f a multiple of g) the unswapped
+    one is preferred.  Roots are located only when no relation holds, to
+    report a violated chain inequality as the witness.
     """
     if f.is_zero or g.is_zero:
         raise ZeroPolynomialError("interleaving of the zero polynomial")
@@ -170,26 +186,15 @@ def alternates(f: Polynomial, g: Polynomial) -> InterlaceVerdict:
     df, dg = int(f.degree), int(g.degree)
     if abs(df - dg) > 1:
         return InterlaceVerdict(Relation.NONE, reason="degrees differ by more than one")
-    profile = merged_profile(f, g)
-
-    if df == dg:
-        base = Relation.ALTERNATE
-        orientations = [True, False]  # f-roots first, then g-roots first
-    elif df == dg + 1:
-        base = Relation.INTERLACES
-        orientations = [True]  # only g can interlace f
-    else:
-        base = Relation.INTERLACES
-        orientations = [False]
-    witness: tuple[RootLocation, RootLocation] | None = None
-    reason = ""
-    for first_is_a in orientations:
-        ok, witness, reason = _check_order(profile, first_is_a, strict=False)
-        if ok:
-            strict_ok, _, _ = _check_order(profile, first_is_a, strict=True)
-            relation = _STRICT_OF[base] if strict_ok else base
-            swapped = not first_is_a if df == dg else df < dg
-            return InterlaceVerdict(relation, swapped=swapped)
+    weak, strict, index = _sequence_verdict(f, g) if df >= dg else _sequence_verdict(g, f)
+    if weak:
+        base = Relation.ALTERNATE if df == dg else Relation.INTERLACES
+        # equal degrees: I has the sign of lc f * lc g iff g's roots come first
+        swapped = index * f.leading * g.leading > 0 if df == dg else df < dg
+        return InterlaceVerdict(_STRICT_OF[base] if strict else base, swapped=swapped)
+    # no relation: locate the roots for a witness, reading the chain with f's
+    # roots first when f has the larger degree and g's roots first otherwise
+    _, witness, reason = _check_order(merged_profile(f, g), df > dg, strict=False)
     return InterlaceVerdict(
         Relation.NONE, witness=witness, reason=f"root ordering violated: {reason}"
     )
@@ -197,19 +202,14 @@ def alternates(f: Polynomial, g: Polynomial) -> InterlaceVerdict:
 
 def interlaces(g: Polynomial, f: Polynomial, strict: bool = False) -> bool:
     """True iff deg f = deg g + 1, both real-rooted, and g's sorted root
-    multiset (weakly) separates f's; strictly when strict is set."""
+    multiset (weakly) separates f's; strictly when strict is set.  No root
+    is located: the Cauchy index of one remainder sequence decides."""
     if f.is_zero or g.is_zero:
         raise ZeroPolynomialError("interlacing test on the zero polynomial")
     if f.degree != g.degree + 1:
         return False
-    if (
-        is_real_rooted(f) is Rootedness.NOT_REAL_ROOTED
-        or is_real_rooted(g) is Rootedness.NOT_REAL_ROOTED
-    ):
-        return False
-    profile = merged_profile(f, g)
-    ok, _, _ = _check_order(profile, first_is_a=True, strict=strict)
-    return ok
+    weak, strictly, _ = _sequence_verdict(f, g)
+    return strictly if strict else weak
 
 
 def chain_check(polys: Sequence[Polynomial]) -> bool:

@@ -117,13 +117,17 @@ def lphi_diamond(f: Polynomial, h: Polynomial, xi: Fraction) -> Polynomial:
 
         sum_n (f^(n) diamond h)(xi) z^n / n!
 
-    evaluated exactly at the rational point xi."""
+    evaluated exactly at the rational point xi.  Each term is diamond(f^(n), h)
+    (see diamond), whose value table of h is a prefix of the one built here."""
     xi = Fraction(xi)
+    h_values = _binomial_values(h, len(f.coeffs) + len(h.coeffs) - 2)
     coeffs = []
     fn = f
     n = 0
     while not fn.is_zero:
-        coeffs.append(diamond(fn, h)(xi) / factorial(n))
+        m = len(fn.coeffs) + len(h.coeffs) - 2
+        products = [a * b for a, b in zip(_binomial_values(fn, m), h_values)]
+        coeffs.append(_differences(products)(xi) / factorial(n))
         fn = fn.derivative()
         n += 1
     return Polynomial(coeffs)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realroots import (
+    InterlaceVerdict,
     Polynomial,
     PreconditionFailedError,
     Relation,
@@ -20,11 +21,17 @@ from realroots import (
     interlaces,
     obreschkoff_probe,
 )
+from realroots import interlacing, roots
 from realroots.generators import (
     random_interlacing_pair,
+    random_non_real_rooted,
+    random_rational,
     random_real_rooted,
+    random_sp_expression,
 )
-from realroots.interlacing import merged_profile
+from realroots.interlacing import _check_order, _Profile, merged_profile
+from realroots.posets import delete_element, e_polynomial, sp_build
+from realroots.roots import Rootedness, is_real_rooted
 
 _X = sympy.Symbol("x")
 
@@ -258,3 +265,125 @@ def test_alternate_chain_definition_on_equal_degrees():
                         or gr[0] <= fr[0] <= gr[1] <= fr[1]
                     )
                     assert alternates(f, g).holds == weakly, (fr, gr)
+
+
+# -- the remainder-sequence verdicts against the isolation path --------------
+
+
+def _isolation_alternates(
+    f: Polynomial, g: Polynomial, profile: _Profile
+) -> InterlaceVerdict:
+    """alternates decided by locating every root: the chain read on
+    profile = merged_profile(f, g), in each orientation the degrees allow."""
+    for which, p in (("first", f), ("second", g)):
+        if is_real_rooted(p) is Rootedness.NOT_REAL_ROOTED:
+            return InterlaceVerdict(Relation.NONE, reason=f"{which} input is not real-rooted")
+    df, dg = int(f.degree), int(g.degree)
+    if abs(df - dg) > 1:
+        return InterlaceVerdict(Relation.NONE, reason="degrees differ by more than one")
+    base = Relation.ALTERNATE if df == dg else Relation.INTERLACES
+    for first_is_a in [True, False] if df == dg else [df > dg]:
+        ok, witness, reason = _check_order(profile, first_is_a, strict=False)
+        if ok:
+            strict, _, _ = _check_order(profile, first_is_a, strict=True)
+            relation = interlacing._STRICT_OF[base] if strict else base
+            swapped = not first_is_a if df == dg else df < dg
+            return InterlaceVerdict(relation, swapped=swapped)
+    return InterlaceVerdict(
+        Relation.NONE, witness=witness, reason=f"root ordering violated: {reason}"
+    )
+
+
+def _isolation_interlaces(
+    g: Polynomial, f: Polynomial, strict: bool, profile: _Profile
+) -> bool:
+    if f.degree != g.degree + 1 or any(
+        is_real_rooted(p) is Rootedness.NOT_REAL_ROOTED for p in (f, g)
+    ):
+        return False
+    return _check_order(profile, True, strict)[0]
+
+
+def _sweep_pairs(seed: int):
+    """Seeded (g, f) pairs, mostly with deg f = deg g + 1, reaching shared,
+    repeated and irrational roots, sign flips, equal degrees, poset
+    deletions and non-real-rooted inputs."""
+    rng = random.Random(seed)
+    x = P(0, 1)
+    sqrt2 = P(-2, 0, 1)
+    pairs = []
+    for k in range(160):
+        g, f = random_interlacing_pair(rng, 4, strict=k % 2 == 0)
+        r = random_rational(rng, Fraction(-9), Fraction(9))
+        s = x - random_rational(rng, Fraction(-9), Fraction(9))
+        pairs += [(g, f), (-g, f), (g, -f), (g * (x - r), f), (f, g * (x - r))]
+        pairs += [(g * s, f * s), (g * s * s, f * s * s), (g * s * s, f * s)]
+        h = f * sqrt2
+        pairs += [(g * sqrt2, h), (h.derivative(), h), (g * sqrt2, f * (x - r))]
+        q = random_non_real_rooted(rng, 3)
+        pairs += [(g * q, f * q), (q.derivative(), q), (q, q * (x - r))]
+    while len(pairs) < 2200:
+        p = sp_build(random_sp_expression(rng, rng.randint(1, 6)))
+        big = e_polynomial(p)
+        pairs += [(e_polynomial(delete_element(p, e)), big) for e in p.elements]
+        pairs.append((random_real_rooted(rng, 3), random_real_rooted(rng, 4)))
+    return pairs
+
+
+def test_sequence_verdicts_match_isolation_oracle():
+    pairs = _sweep_pairs(20)
+    assert len(pairs) >= 2000
+    for g, f in pairs:
+        # one isolation per pair; the reversed pair reads it mirrored
+        profile = merged_profile(f, g)
+        mirrored = _Profile(profile.locations, profile.mult_second, profile.mult_first)
+        for strict in (False, True):
+            assert interlaces(g, f, strict=strict) == _isolation_interlaces(
+                g, f, strict, profile
+            ), (g, f, strict)
+        assert alternates(f, g) == _isolation_alternates(f, g, profile), (f, g)
+        assert alternates(g, f) == _isolation_alternates(g, f, mirrored), (g, f)
+
+
+class TestSequenceEdgeCases:
+    def test_proportional_inputs_alternate_unswapped(self):
+        f = from_roots([-1, 2, Fraction(7, 3)])
+        for scale in (1, 3, Fraction(-1, 2)):
+            verdict = alternates(f, f * scale)
+            assert verdict.relation is Relation.ALTERNATE
+            assert not verdict.swapped
+
+    def test_constant_below_linear(self):
+        assert alternates(P(0, 1), P(-5)).relation is Relation.STRICTLY_INTERLACES
+        assert interlaces(P(-5), P(3, -1), strict=True)
+
+    def test_non_real_factor_in_the_gcd(self):
+        g = P(1, 0, 1)
+        f = g * P(-1, 1)
+        assert not interlaces(g, f)
+        assert not interlaces(g, f, strict=True)
+        assert alternates(f, g).reason == "first input is not real-rooted"
+
+    def test_double_root_in_the_gcd(self):
+        shared = from_roots([1, 1])
+        g, f = shared * P(-3, 1), shared * from_roots([2, 4])
+        assert interlaces(g, f)
+        assert not interlaces(g, f, strict=True)
+        assert alternates(f, g).relation is Relation.INTERLACES
+        # a triple root of f against a single one of g breaks the chain
+        assert not interlaces(P(-1, 1) * P(-3, 1), from_roots([1, 1, 1]) * P(-4, 1))
+
+    def test_verdicts_never_isolate(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a yes/no verdict isolated roots")
+
+        for module in (roots, interlacing):
+            monkeypatch.setattr(module, "isolate_roots", refuse)
+        monkeypatch.setattr(interlacing, "merged_profile", refuse)
+        g, f = from_roots([0, 2]), from_roots([-1, 1, 3])
+        assert interlaces(g, f, strict=True)
+        assert not interlaces(from_roots([0, 4]), f)
+        assert chain_check([P(1), P(-1, 1), g, f])
+        assert not chain_check([P(1), P(-3, 1), g, f])
+        assert alternates(f, g).relation is Relation.STRICTLY_INTERLACES
+        assert alternates(g, g * P(0, 1) - f).holds

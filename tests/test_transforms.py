@@ -182,6 +182,23 @@ class TestLphi:
             rhs = hermite_poulain(h_xi(h, xi), f.translate(xi))
             assert lhs == rhs
 
+    def test_matches_diamond_of_each_derivative(self):
+        # the definition, one diamond per derivative, on zero, constant,
+        # real-rooted and arbitrary rational inputs
+        rng = random.Random(4)
+        inputs = [ZERO, P(3)] + [
+            Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d + 1)])
+            for d in range(1, 9)
+        ] + [random_real_rooted(rng, 6, standard=False) for _ in range(4)]
+        for f in inputs:
+            for h in inputs[::3]:
+                xi = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+                expected = Polynomial(
+                    diamond(f.derivative(n), h)(xi) / factorial(n)
+                    for n in range(len(f.coeffs))
+                )
+                assert lphi_diamond(f, h, xi) == expected, (f, h, xi)
+
     def test_commutes_with_derivative(self):
         rng = random.Random(3)
         for _ in range(25):
