@@ -140,27 +140,6 @@ def random_interlacing_pair(
     return g, f
 
 
-def random_common_interlacer(
-    rng: random.Random, max_deg: int, strict: bool = True
-) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """(h, f, g) standard with h interlacing both f and g (strictly when
-    strict): f and g each take one root per gap cut out by h's roots."""
-    d = rng.randint(1, max_deg)
-    theta = distinct_rationals(rng, d - 1, Fraction(-6), Fraction(6)) if d > 1 else []
-    gaps = list(zip([Fraction(-9)] + theta, theta + [Fraction(9)]))
-
-    def pick_in(a: Fraction, b: Fraction) -> Fraction:
-        if strict:
-            width = b - a
-            return a + width * Fraction(rng.randint(1, 7), 8)
-        return a + (b - a) * Fraction(rng.randint(0, 8), 8)
-
-    f = from_roots([pick_in(a, b) for a, b in gaps], lead=random_lead(rng))
-    g = from_roots([pick_in(a, b) for a, b in gaps], lead=random_lead(rng))
-    h = from_roots(theta, lead=random_lead(rng))
-    return h, f, g
-
-
 def random_non_real_rooted(rng: random.Random, max_deg: int) -> Polynomial:
     """Guaranteed to have a non-real conjugate pair: a positive-definite
     quadratic factor times a random real-rooted part."""

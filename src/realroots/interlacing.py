@@ -17,7 +17,7 @@ have real, simple, strictly interleaving roots iff |I| = deg f - deg d; the
 pair then interleaves weakly iff d is real-rooted, strictly iff d is
 constant, and for equal degrees the sign of I says whose roots come first.
 Roots are located only for the witness of a failed verdict, by one
-isolation of the square-free part of f*g.
+isolation of f*g.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .roots import (
     _variations,
     is_real_rooted,
     isolate_roots,
-    squarefree_part,
     yun_decomposition,
 )
 
@@ -89,8 +88,8 @@ class InterlaceVerdict:
 
 @dataclass(frozen=True)
 class _Profile:
-    """Merged root data: locations in increasing order, and for each location
-    the multiplicity it carries in the first and in the second polynomial."""
+    """Merged root data: locations in increasing order, with multiplicities
+    in f*g, and for each the multiplicity in the first and in the second."""
 
     locations: tuple[RootLocation, ...]
     mult_first: tuple[int, ...]
@@ -101,13 +100,13 @@ def merged_profile(f: Polynomial, g: Polynomial) -> _Profile:
     """Locate the union of the real roots of f and g with per-input
     multiplicities.
 
-    Locations come from one isolation of the square-free part of f*g, so the
-    ordering and every equality between an f-root and a g-root is exact.
-    Interval endpoints are roots of neither input.
+    Locations come from one isolation of f*g, which isolates its square-free
+    part, so the ordering and every equality between an f-root and a g-root
+    is exact.  Interval endpoints are roots of neither input.
     """
     if f.is_zero or g.is_zero:
         raise ZeroPolynomialError("root profile of the zero polynomial")
-    locations = isolate_roots(squarefree_part(f * g))
+    locations = isolate_roots(f * g)
     ff = [(h.int_coeffs(), m) for h, m in yun_decomposition(f)]
     gf = [(h.int_coeffs(), m) for h, m in yun_decomposition(g)]
     mf = tuple(_multiplicity_at(ff, loc.lo, loc.hi) for loc in locations)
@@ -145,7 +144,7 @@ def _check_order(
     if hit is None:
         return True, None, ""
     i, j, what = hit
-    # profile locations isolate a square-free product; a witness reports the
+    # profile locations carry multiplicities in f*g; a witness reports the
     # multiplicity each root has in its own input
     witness = (
         replace(profile.locations[i], multiplicity=ma[i]),

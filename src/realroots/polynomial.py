@@ -199,11 +199,6 @@ class Polynomial:
             acc = acc * mult + c
         return acc
 
-    def scale_argument(self, factor: Scalar) -> "Polynomial":
-        """Return f(factor * x)."""
-        factor = Fraction(factor)
-        return Polynomial([c * factor**k for k, c in enumerate(self._coeffs)])
-
     # -- normal forms -----------------------------------------------------
 
     def content(self) -> Fraction:

@@ -104,46 +104,6 @@ def _count(seq: list[list[int]], lo: Fraction | float, hi: Fraction | float) -> 
     return _variations(seq, lo) - _variations(seq, hi)
 
 
-# -- public Sturm chain -----------------------------------------------------
-
-
-class SturmChain:
-    """Sturm chain of f: p0 = f, p1 = f', p_{i+1} = -(p_{i-1} mod p_i).
-
-    The chain stops before the first zero remainder.  p0 and p1 are f and f'
-    exactly; every later entry is the classical one rescaled by a positive
-    rational to primitive integer form, which leaves all sign counts as
-    they are.
-    """
-
-    def __init__(self, polynomials: Sequence[Polynomial]):
-        self.polynomials = tuple(polynomials)
-
-    def __len__(self) -> int:
-        return len(self.polynomials)
-
-    def __iter__(self):
-        return iter(self.polynomials)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SturmChain):
-            return NotImplemented
-        return self.polynomials == other.polynomials
-
-    def __repr__(self) -> str:
-        return f"SturmChain({list(self.polynomials)!r})"
-
-    def variations_at(self, x: Fraction) -> int:
-        return _variations([p.int_coeffs() for p in self.polynomials], Fraction(x))
-
-
-def sturm_chain(f: Polynomial) -> SturmChain:
-    if f.is_zero:
-        raise ZeroPolynomialError("Sturm chain of the zero polynomial")
-    head = [f, f.derivative()] if f.degree > 0 else [f]
-    return SturmChain(head + [Polynomial(cs) for cs in _sturm_sequence(f)[2:]])
-
-
 # -- bounds, square-free parts ----------------------------------------------
 
 

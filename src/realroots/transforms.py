@@ -112,25 +112,30 @@ def h_xi(h: Polynomial, xi: Fraction) -> Polynomial:
     return Polynomial(coeffs)
 
 
+def _derivative_images(f: Polynomial, h: Polynomial) -> list[Polynomial]:
+    """diamond(f^(n), h) for n = 0..deg f (none for f = 0).  Each is computed
+    as in diamond, whose value table of h is a prefix of the one built here."""
+    h_values = _binomial_values(h, len(f.coeffs) + len(h.coeffs) - 2)
+    images = []
+    fn = f
+    while not fn.is_zero:
+        m = len(fn.coeffs) + len(h.coeffs) - 2
+        products = [a * b for a, b in zip(_binomial_values(fn, m), h_values)]
+        images.append(_differences(products))
+        fn = fn.derivative()
+    return images
+
+
 def lphi_diamond(f: Polynomial, h: Polynomial, xi: Fraction) -> Polynomial:
     """One-parameter slice of the derivative product: the polynomial in z
 
         sum_n (f^(n) diamond h)(xi) z^n / n!
 
-    evaluated exactly at the rational point xi.  Each term is diamond(f^(n), h)
-    (see diamond), whose value table of h is a prefix of the one built here."""
+    evaluated exactly at the rational point xi."""
     xi = Fraction(xi)
-    h_values = _binomial_values(h, len(f.coeffs) + len(h.coeffs) - 2)
-    coeffs = []
-    fn = f
-    n = 0
-    while not fn.is_zero:
-        m = len(fn.coeffs) + len(h.coeffs) - 2
-        products = [a * b for a, b in zip(_binomial_values(fn, m), h_values)]
-        coeffs.append(_differences(products)(xi) / factorial(n))
-        fn = fn.derivative()
-        n += 1
-    return Polynomial(coeffs)
+    return Polynomial(
+        image(xi) / factorial(n) for n, image in enumerate(_derivative_images(f, h))
+    )
 
 
 def d_phi_diamond(f: Polynomial, h: Polynomial) -> int | float:
@@ -214,7 +219,7 @@ def aplus_check_diamond(
     if d == NEG_INF:
         return AplusReport(degree_bound=d, branch="vanishing")
     d = int(d)
-    images = [diamond(f.derivative(n), h) for n in range(d + 1)]
+    images = _derivative_images(f, h)
     if d == 0:
         ok = (
             images[0].is_standard

@@ -15,7 +15,6 @@ from realroots.generators import (
     all_labellings,
     all_posets_on,
     distinct_rationals,
-    random_common_interlacer,
     random_interlacing_pair,
     random_interval_rooted,
     random_labelled_poset,
@@ -115,15 +114,6 @@ def test_interlacing_pairs():
         assert interlaces(g, f)
         g, f = random_interlacing_pair(rng, 5, strict=True)
         assert interlaces(g, f, strict=True)
-
-
-def test_common_interlacer_triples():
-    rng = random.Random(7)
-    for _ in range(20):
-        h, f, g = random_common_interlacer(rng, 4)
-        assert interlaces(h, f, strict=True) and interlaces(h, g, strict=True)
-        h, f, g = random_common_interlacer(rng, 4, strict=False)
-        assert interlaces(h, f) and interlaces(h, g)
 
 
 def test_random_posets_are_valid_and_usable():

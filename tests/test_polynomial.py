@@ -41,6 +41,12 @@ class TestBasics:
     def test_mul(self):
         assert P(0, 1) * P(1, 1) == P(0, 1, 1)
 
+    def test_power(self):
+        assert P(1, 1) ** 3 == P(1, 3, 3, 1)
+        assert P(2, -1) ** 0 == ONE and ZERO ** 0 == ONE
+        with pytest.raises(ValueError):
+            P(1, 1) ** -1
+
     def test_scale(self):
         assert P(1, 2) * Fraction(1, 2) == P(Fraction(1, 2), 1)
 
@@ -97,9 +103,6 @@ class TestCalculus:
     def test_evaluate_at_transform_root(self):
         assert P(0, 1, 2)(Fraction(-1, 2)) == 0
 
-    def test_scale_argument(self):
-        f = P(1, 2, 3)
-        assert f.scale_argument(2) == P(1, 4, 12)
 
 
 class TestDivision:

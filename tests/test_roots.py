@@ -21,7 +21,6 @@ from realroots import (
     log_concavity_check,
     roots_in_interval,
     squarefree_part,
-    sturm_chain,
     yun_decomposition,
 )
 from realroots.roots import INF, NEG_INF, cauchy_root_bound, simplest_between
@@ -41,27 +40,6 @@ rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 small_polys = st.lists(rationals, min_size=1, max_size=7).map(Polynomial).filter(
     lambda f: not f.is_zero
 )
-
-
-class TestSturmChain:
-    def test_quadratic_chain(self):
-        chain = sturm_chain(P(-2, 0, 1))
-        assert chain.polynomials[0] == P(-2, 0, 1)
-        assert chain.polynomials[1] == P(0, 2)
-        assert chain.polynomials[2].degree == 0
-        assert chain.polynomials[2].leading > 0
-
-    def test_linear_chain(self):
-        assert [e.degree for e in sturm_chain(P(0, 1))] == [1, 0]
-
-    def test_double_root_terminates_at_common_factor(self):
-        chain = sturm_chain(P(0, 0, 1))
-        last = chain.polynomials[-1]
-        assert last.degree == 1 and last(0) == 0
-
-    def test_zero_poly_rejected(self):
-        with pytest.raises(ZeroPolynomialError):
-            sturm_chain(Polynomial([]))
 
 
 class TestCountRoots:

@@ -26,6 +26,7 @@ from realroots import (
 )
 from realroots.generators import random_interval_rooted, random_real_rooted
 from realroots.polynomial import NEG_INF, ONE, ZERO
+from realroots.transforms import _derivative_images
 
 
 def P(*coeffs) -> Polynomial:
@@ -193,9 +194,10 @@ class TestLphi:
         for f in inputs:
             for h in inputs[::3]:
                 xi = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+                images = [diamond(f.derivative(n), h) for n in range(len(f.coeffs))]
+                assert _derivative_images(f, h) == images, (f, h)
                 expected = Polynomial(
-                    diamond(f.derivative(n), h)(xi) / factorial(n)
-                    for n in range(len(f.coeffs))
+                    image(xi) / factorial(n) for n, image in enumerate(images)
                 )
                 assert lphi_diamond(f, h, xi) == expected, (f, h, xi)
 
