@@ -36,6 +36,7 @@ from .roots import (
     RootLocation,
     Rootedness,
     _multiplicity_at,
+    _rootedness,
     _variations,
     is_real_rooted,
     isolate_roots,
@@ -160,8 +161,9 @@ def _sequence_verdict(f: Polynomial, g: Polynomial) -> tuple[bool, bool, int]:
     seq = _remainder_sequence(f.int_coeffs(), g.int_coeffs())
     index = _variations(seq, NEG_INF) - _variations(seq, INF)
     d = seq[-1]
-    weak = abs(index) == len(seq[0]) - len(d) and (
-        len(d) == 1 or is_real_rooted(Polynomial(d)) is not Rootedness.NOT_REAL_ROOTED
+    weak = (
+        abs(index) == len(seq[0]) - len(d)
+        and _rootedness(d) is not Rootedness.NOT_REAL_ROOTED
     )
     return weak, weak and len(d) == 1, index
 

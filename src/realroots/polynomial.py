@@ -214,17 +214,18 @@ class Polynomial:
 
     def primitive(self) -> "Polynomial":
         """self / content(): coprime integer coefficients, sign preserved."""
-        if self.is_zero:
-            return self
-        return self * (1 / self.content())
+        return Polynomial(self.int_coeffs())
 
     def monic(self) -> "Polynomial":
         return self * (1 / self.leading)
 
     def int_coeffs(self) -> list[int]:
-        """Coefficients of the primitive part as plain ints (positive rescaling)."""
-        prim = self.primitive()
-        return [c.numerator for c in prim._coeffs]
+        """The coprime integer coefficients of the one primitive positive
+        multiple of self ([] for zero): denominators cleared by their lcm,
+        then the numerators divided by their gcd."""
+        nums, _ = _cleared(self)
+        g = math.gcd(*nums)
+        return [n // g for n in nums] if g > 1 else nums
 
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self._coeffs]})"
@@ -248,6 +249,12 @@ class Polynomial:
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)
+
+
+def _cleared(f: Polynomial) -> tuple[list[int], int]:
+    """(D * f's coefficients as ints, D), D the lcm of f's denominators."""
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    return [c.numerator * (den // c.denominator) for c in f.coeffs], den
 
 
 def _coerce(value: "Polynomial | Scalar") -> Polynomial:

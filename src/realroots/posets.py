@@ -22,7 +22,7 @@ from .errors import (
     InputFormatError,
     OutOfRangeError,
 )
-from .polynomial import ONE, Polynomial, X
+from .polynomial import ONE, Polynomial, X, _cleared
 
 Element = str
 Cover = tuple[Element, Element]
@@ -389,22 +389,22 @@ def order_polynomial(p: LabelledPoset) -> Polynomial:
 # -- basis change -------------------------------------------------------------
 
 
-def _binomial_values(f: Polynomial, m: int) -> list[Fraction]:
-    """Values of e_inverse(f) = sum_k a_k x-choose-k at x = 0..m."""
+def _binomial_values(cs: Sequence[int], m: int) -> list[int]:
+    """Values of sum_k cs[k] x-choose-k at x = 0..m, for integer cs: the
+    table of D * e_inverse(f) when cs is f's coefficients cleared by D."""
     return [
-        sum(c * comb(x, k) for k, c in enumerate(f.coeffs[: x + 1]))
-        for x in range(m + 1)
+        sum(c * comb(x, k) for k, c in enumerate(cs[: x + 1])) for x in range(m + 1)
     ]
 
 
-def _differences(values: Sequence[Fraction]) -> Polynomial:
-    """sum_k D^k x^k, where D^k is the k-th forward difference at 0 of the
-    table values[x], x = 0, 1, ...: the image under e_operator of the
-    polynomial of degree < len(values) taking those values."""
+def _differences(values: Sequence[int], scale: int) -> Polynomial:
+    """sum_k (D^k / scale) x^k, where D^k is the k-th forward difference at 0
+    of the integer table values[x], x = 0, 1, ...: the image under e_operator
+    of the polynomial of degree < len(values) taking the values / scale."""
     row = list(values)
     coeffs = []
     while row:
-        coeffs.append(row[0])
+        coeffs.append(Fraction(row[0], scale))
         row = [b - a for a, b in zip(row, row[1:])]
     return Polynomial(coeffs)
 
@@ -413,9 +413,12 @@ def e_operator(f: Polynomial) -> Polynomial:
     """Basis change sending x-choose-k to x^k.
 
     The coefficient of x-choose-k in f is the k-th forward difference of f
-    at 0, so the image is read off the difference table of f(0..deg f).
+    at 0, so the image is read off the difference table of f(0..deg f),
+    taken on the integer values of D * f and divided by D at the end.
     """
-    return _differences([f(x) for x in range(len(f.coeffs))])
+    cs, den = _cleared(f)
+    values = [sum(c * x**k for k, c in enumerate(cs)) for x in range(len(cs))]
+    return _differences(values, den)
 
 
 def e_inverse(f: Polynomial) -> Polynomial:

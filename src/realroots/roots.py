@@ -5,6 +5,9 @@ from ``polynomial._remainder_sequence``.  Its sign variations count the
 distinct real roots of f, also when f has multiple roots; its last entry is
 gcd(f, f'), so f is real-rooted iff the count on the whole line is
 deg f - deg gcd(f, f'), and simple-rooted iff that gcd is constant.
+Decisions read int lists end to end: f enters once as its primitive integer
+coefficients, f' is taken on them, and the division by gcd(f, f') at an
+endpoint that is a multiple root is an exact integer division.
 Isolation runs once on the square-free part of f, the product of its Yun
 factors, and returns disjoint open intervals with rational non-root
 endpoints, except that rational roots are pinned to exact points.  Each
@@ -79,9 +82,12 @@ def _int_sign_at(cs: Sequence[int], x: Fraction | float) -> int:
     return (v > 0) - (v < 0)
 
 
-def _sturm_sequence(f: Polynomial) -> list[list[int]]:
-    """Signed remainder sequence of (f, f') on primitive integer entries."""
-    return _remainder_sequence(f.int_coeffs(), f.derivative().int_coeffs())
+def _sturm_sequence(cs: list[int]) -> list[list[int]]:
+    """Signed remainder sequence of (f, f') from f's primitive integer
+    coefficients cs; f' enters made primitive too."""
+    df = [k * c for k, c in enumerate(cs)][1:]
+    content = math.gcd(*df) or 1
+    return _remainder_sequence(cs, [c // content for c in df])
 
 
 def _variations(seq: Sequence[Sequence[int]], x: Fraction | float) -> int:
@@ -99,9 +105,20 @@ def _count(seq: list[list[int]], lo: Fraction | float, hi: Fraction | float) -> 
     """
     last = seq[-1]
     if len(last) > 1 and 0 in (_int_sign_at(last, lo), _int_sign_at(last, hi)):
-        d = Polynomial(last)
-        seq = [Polynomial(p).exact_div(d).int_coeffs() for p in seq]
+        seq = [_exact_quotient(p, last) for p in seq]
     return _variations(seq, lo) - _variations(seq, hi)
+
+
+def _exact_quotient(p: list[int], d: list[int]) -> list[int]:
+    """p / d for integer lists with d primitive and dividing p; by Gauss's
+    lemma the quotient has integer coefficients, so each step is exact."""
+    r, q = list(p), []
+    for k in range(len(p) - len(d), -1, -1):
+        c = r[k + len(d) - 1] // d[-1]
+        q.append(c)
+        for j, dj in enumerate(d):
+            r[k + j] -= c * dj
+    return q[::-1]
 
 
 # -- bounds, square-free parts ----------------------------------------------
@@ -174,7 +191,7 @@ def count_roots(f: Polynomial, lo: Fraction | float, hi: Fraction | float) -> in
         return 0
     lo = lo if lo == NEG_INF else Fraction(lo)
     hi = hi if hi == INF else Fraction(hi)
-    return _count(_sturm_sequence(f), lo, hi)
+    return _count(_sturm_sequence(f.int_coeffs()), lo, hi)
 
 
 # -- isolation ---------------------------------------------------------------
@@ -211,7 +228,7 @@ class _Isolator:
 
     def __init__(self, g: Polynomial):
         self.g = g
-        self.seq = _sturm_sequence(g)
+        self.seq = _sturm_sequence(g.int_coeffs())
         self.cs = self.seq[0]
 
     def sign_at(self, x: Fraction) -> int:
@@ -380,11 +397,16 @@ def is_real_rooted(f: Polynomial) -> Rootedness:
     """
     if f.is_zero:
         raise ZeroPolynomialError("rootedness of the zero polynomial")
-    if f.degree == 0:
+    return _rootedness(f.int_coeffs())
+
+
+def _rootedness(cs: list[int]) -> Rootedness:
+    """is_real_rooted of the nonzero polynomial with integer coefficients cs."""
+    if len(cs) == 1:
         return Rootedness.REAL_SIMPLE
     # f has deg f - deg gcd(f, f') distinct complex roots
-    seq = _sturm_sequence(f)
-    if _count(seq, NEG_INF, INF) < f.degree - (len(seq[-1]) - 1):
+    seq = _sturm_sequence(cs)
+    if _count(seq, NEG_INF, INF) < len(cs) - len(seq[-1]):
         return Rootedness.NOT_REAL_ROOTED
     if len(seq[-1]) > 1:
         return Rootedness.REAL_WITH_MULTIPLICITY
@@ -405,13 +427,13 @@ def roots_in_interval(
         return True
     # real-rooted with every root inside iff all deg f - deg gcd(f, f')
     # distinct roots are counted inside
-    seq = _sturm_sequence(f)
+    seq = _sturm_sequence(f.int_coeffs())
     inside = _count(seq, lo, hi)
     if closed:
         inside += _int_sign_at(seq[0], lo) == 0
     else:
         inside -= _int_sign_at(seq[0], hi) == 0
-    return inside == f.degree - (len(seq[-1]) - 1)
+    return inside == len(seq[0]) - len(seq[-1])
 
 
 def log_concavity_check(f: Polynomial) -> int | None:

@@ -21,7 +21,7 @@ from math import factorial
 
 from .errors import PreconditionFailedError
 from .interlacing import interlaces
-from .polynomial import NEG_INF, Polynomial, gcd
+from .polynomial import NEG_INF, Polynomial, _cleared, gcd
 from .posets import _binomial_values, _differences
 from .roots import (
     INF,
@@ -48,11 +48,15 @@ def diamond(f: Polynomial, g: Polynomial) -> Polynomial:
     computed: the product has degree deg f + deg g, so it is fixed by its
     values at 0..deg f + deg g, the pointwise products of the two value
     tables of e_inverse; its image is the forward-difference table of those
-    products at 0.  A zero input gives a table of zeros and the zero image.
+    products at 0.  The tables are taken on D_f * f and D_g * g, with D the
+    lcm of an input's denominators, so they hold ints; diamond is bilinear,
+    so the image is the integer difference table divided by D_f * D_g once.
+    A zero input gives a table of zeros and the zero image.
     """
-    m = len(f.coeffs) + len(g.coeffs) - 2
-    products = [a * b for a, b in zip(_binomial_values(f, m), _binomial_values(g, m))]
-    return _differences(products)
+    (fs, df), (gs, dg) = _cleared(f), _cleared(g)
+    m = len(fs) + len(gs) - 2
+    fv, gv = _binomial_values(fs, m), _binomial_values(gs, m)
+    return _differences([a * b for a, b in zip(fv, gv)], df * dg)
 
 
 def alt_diamond(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -114,15 +118,17 @@ def h_xi(h: Polynomial, xi: Fraction) -> Polynomial:
 
 def _derivative_images(f: Polynomial, h: Polynomial) -> list[Polynomial]:
     """diamond(f^(n), h) for n = 0..deg f (none for f = 0).  Each is computed
-    as in diamond, whose value table of h is a prefix of the one built here."""
-    h_values = _binomial_values(h, len(f.coeffs) + len(h.coeffs) - 2)
+    as in diamond, whose value table of h is a prefix of the one built here.
+    D_f clears the denominators of every derivative, so the derivatives are
+    taken on f's integer list and all images share the scale D_f * D_h."""
+    (fs, df), (hs, dh) = _cleared(f), _cleared(h)
+    h_values = _binomial_values(hs, len(fs) + len(hs) - 2)
     images = []
-    fn = f
-    while not fn.is_zero:
-        m = len(fn.coeffs) + len(h.coeffs) - 2
-        products = [a * b for a, b in zip(_binomial_values(fn, m), h_values)]
-        images.append(_differences(products))
-        fn = fn.derivative()
+    while fs:
+        m = len(fs) + len(hs) - 2
+        products = [a * b for a, b in zip(_binomial_values(fs, m), h_values)]
+        images.append(_differences(products, df * dh))
+        fs = [k * c for k, c in enumerate(fs)][1:]
     return images
 
 

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, parsing, and ring properties."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,61 @@ class TestHygiene:
 
     def test_monic(self):
         assert P(2, 4).monic() == P(Fraction(1, 2), 1)
+
+
+def _old_int_coeffs(f: Polynomial) -> list[int]:
+    """int_coeffs by a Fraction multiply with 1 / content()."""
+    if f.is_zero:
+        return []
+    return [c.numerator for c in (f * (1 / f.content())).coeffs]
+
+
+def _normalisation_inputs(seed: int) -> list[Polynomial]:
+    """Zero, constants, mixed signs and negative leads, shared factors, and
+    numerators and denominators of 200+ bits."""
+    rng = random.Random(seed)
+
+    def rational(bits: int) -> Fraction:
+        return Fraction(rng.randint(-(2**bits), 2**bits), rng.randint(1, 2**bits))
+
+    out = [ZERO, P(7), P(-3), P(Fraction(-4, 9)), P(6, -4, 8), P(0, 0, -10, 15)]
+    for _ in range(30):
+        bits = rng.choice([4, 60, 210, 260])
+        f = Polynomial(rational(bits) for _ in range(rng.randint(1, 9)))
+        k = Fraction(rng.randint(1, 2**bits), rng.randint(1, 2**bits))
+        out += [f, -f, f * k, f * -k, f * 2**bits * 3]
+    return out
+
+
+class TestIntCoeffs:
+    """int_coeffs and primitive against the Fraction normalisation, and
+    against sympy's denominator clearing and content."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_fraction_normalisation(self, seed):
+        for f in _normalisation_inputs(seed):
+            cs = f.int_coeffs()
+            assert cs == _old_int_coeffs(f), f
+            assert all(type(c) is int for c in cs)
+            assert f.primitive() == Polynomial(cs)
+            assert f.primitive() * f.content() == f
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_sympy_primitive_part(self, seed):
+        x = sympy.Symbol("x")
+        for f in _normalisation_inputs(seed):
+            if f.is_zero:
+                assert f.int_coeffs() == [] and f.content() == 0
+                continue
+            sp = sympy.Poly([sympy.Rational(c) for c in reversed(f.coeffs)], x)
+            _, cleared = sp.clear_denoms(convert=True)
+            _, prim = cleared.primitive()
+            assert f.int_coeffs() == [int(c) for c in reversed(prim.all_coeffs())]
+
+    def test_shared_factor_is_divided_out(self):
+        f = P(Fraction(4, 3), Fraction(-8, 9), 2**300)
+        assert f.int_coeffs() == [3, -2, 9 * 2**298]
+        assert P(Fraction(-6, 7)).int_coeffs() == [-1]
 
 
 class TestParsing:

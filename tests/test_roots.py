@@ -23,7 +23,17 @@ from realroots import (
     squarefree_part,
     yun_decomposition,
 )
-from realroots.roots import INF, NEG_INF, cauchy_root_bound, simplest_between
+from realroots.polynomial import _remainder_sequence
+from realroots.roots import (
+    INF,
+    NEG_INF,
+    _int_sign_at,
+    _rootedness,
+    _sturm_sequence,
+    _variations,
+    cauchy_root_bound,
+    simplest_between,
+)
 
 _X = sympy.Symbol("x")
 
@@ -269,6 +279,118 @@ class TestDecisionOracle:
         assert count_roots(f, lo, hi) == len({r for r in real if slo < r <= shi})
         assert count_roots(f, NEG_INF, hi) == len({r for r in real if r <= shi})
         assert count_roots(f, lo, INF) == len({r for r in real if r > slo})
+
+
+def _old_int(f: Polynomial) -> list[int]:
+    """Primitive integer coefficients by a Fraction multiply with 1 / content."""
+    return [c.numerator for c in (f * (1 / f.content())).coeffs]
+
+
+def _old_sturm(f: Polynomial) -> list[list[int]]:
+    return _remainder_sequence(_old_int(f), _old_int(f.derivative()))
+
+
+def _old_count(seq: list[list[int]], lo, hi) -> int:
+    """Sturm count with the division by the gcd done by Polynomial.exact_div."""
+    last = seq[-1]
+    if len(last) > 1 and 0 in (_int_sign_at(last, lo), _int_sign_at(last, hi)):
+        d = Polynomial(last)
+        seq = [_old_int(Polynomial(p).exact_div(d)) for p in seq]
+    return _variations(seq, lo) - _variations(seq, hi)
+
+
+def _old_rootedness(f: Polynomial) -> Rootedness:
+    if f.degree == 0:
+        return Rootedness.REAL_SIMPLE
+    seq = _old_sturm(f)
+    if _old_count(seq, NEG_INF, INF) < f.degree - (len(seq[-1]) - 1):
+        return Rootedness.NOT_REAL_ROOTED
+    if len(seq[-1]) > 1:
+        return Rootedness.REAL_WITH_MULTIPLICITY
+    return Rootedness.REAL_SIMPLE
+
+
+def _old_in_interval(f: Polynomial, lo: Fraction, hi: Fraction, closed: bool) -> bool:
+    seq = _old_sturm(f)
+    inside = _old_count(seq, lo, hi)
+    if closed:
+        inside += _int_sign_at(seq[0], lo) == 0
+    else:
+        inside -= _int_sign_at(seq[0], hi) == 0
+    return inside == f.degree - (len(seq[-1]) - 1)
+
+
+_FACTORS = [
+    P(1, 1), P(0, 1), P(1, 2), P(-3, 2), P(-2, 0, 1), P(-3, 0, 1), P(1, 0, 1), P(3, 1, 1)
+]
+
+
+def _random_factor_product(rng: random.Random) -> Polynomial:
+    """Seeded product of rational, irrational ((x^2-2), (x^2-3)) and
+    non-real ((x^2+1), (x^2+x+3)) factors, some repeated, with a lead of
+    either sign."""
+    f = P(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5)))
+    for _ in range(rng.randint(1, 5)):
+        f = f * rng.choice(_FACTORS) ** rng.randint(1, 3)
+    return f
+
+
+class TestIntegerDecisions:
+    """The integer decision path against the Polynomial path it replaced
+    (test-local oracles above) and against sympy."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rootedness_of_gcd_lists(self, seed):
+        rng = random.Random(seed)
+        for _ in range(20):
+            shared = _random_factor_product(rng)
+            f = shared * _random_factor_product(rng)
+            g = shared * _random_factor_product(rng)
+            # the gcd list as a remainder sequence leaves it: primitive,
+            # with a lead of either sign
+            d = _remainder_sequence(f.int_coeffs(), g.int_coeffs())[-1]
+            for cs in (d, [-c for c in d], f.int_coeffs(), [-c for c in _old_int(g)]):
+                got = _rootedness(cs)
+                assert got is _old_rootedness(Polynomial(cs)), cs
+                sp = sympy.Poly(list(reversed(cs)), _X)
+                if len(sp.real_roots()) < sp.degree():
+                    expected = Rootedness.NOT_REAL_ROOTED
+                elif sympy.degree(sympy.gcd(sp, sp.diff(_X)), _X) > 0:
+                    expected = Rootedness.REAL_WITH_MULTIPLICITY
+                else:
+                    expected = Rootedness.REAL_SIMPLE
+                assert got is expected, cs
+
+    def test_multiple_root_endpoints_example(self):
+        # (x+1)^2 x^3 (2x+1): both ends of [-1, 0] are multiple roots
+        f = P(1, 1) ** 2 * P(0, 1) ** 3 * P(1, 2)
+        assert roots_in_interval(f, -1, 0)
+        assert not roots_in_interval(f, -1, 0, closed=False)
+        assert not roots_in_interval(f, Fraction(-1, 2), 0)
+        assert count_roots(f, -1, 0) == 2
+        assert count_roots(f, -2, -1) == 1
+        assert count_roots(f, Fraction(-1, 2), 0) == 1
+        assert count_roots(f, Fraction(-1, 2), 1) == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_interval_decisions_at_multiple_roots(self, seed):
+        rng = random.Random(100 + seed)
+        fs = [P(1, 1) ** 2 * P(0, 1) ** 3 * P(1, 2)] + [
+            _random_factor_product(rng) for _ in range(12)
+        ]
+        ends = [Fraction(k, 2) for k in range(-4, 4)]
+        for f in fs:
+            seq = _old_sturm(f)
+            assert _sturm_sequence(f.int_coeffs()) == seq
+            for lo in ends:
+                for hi in ends:
+                    if lo >= hi:
+                        continue
+                    for closed in (True, False):
+                        assert roots_in_interval(f, lo, hi, closed) == _old_in_interval(
+                            f, lo, hi, closed
+                        ), (f, lo, hi, closed)
+                    assert count_roots(f, lo, hi) == _old_count(seq, lo, hi), (f, lo, hi)
 
 
 class TestSquarefree:

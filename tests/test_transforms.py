@@ -26,6 +26,7 @@ from realroots import (
 )
 from realroots.generators import random_interval_rooted, random_real_rooted
 from realroots.polynomial import NEG_INF, ONE, ZERO
+from realroots.posets import e_inverse, e_operator
 from realroots.transforms import _derivative_images
 
 
@@ -94,8 +95,32 @@ class TestDiamond:
             f = arbitrary(rng.randint(0, 20))
             g = random_real_rooted(rng, 20, standard=False, min_deg=0)
             pairs += [(f, g), (g, arbitrary(rng.randint(0, 4)))]
+        wide = _wide_denominator_inputs(random.Random(21))
+        pairs += list(zip(wide, reversed(wide))) + [(f, wide[-1]) for f in wide[:6]]
         for f, g in pairs:
             assert diamond(f, g) == _derivative_sum(f, g)
+
+    def test_basis_change_round_trip_wide_denominators(self):
+        wide = _wide_denominator_inputs(random.Random(22))
+        for f in wide:
+            assert e_operator(e_inverse(f)) == f
+            assert e_inverse(e_operator(f)) == f
+        for f, g in zip(wide, wide[1:]):
+            assert diamond(f, g) == e_operator(e_inverse(f) * e_inverse(g))
+
+
+def _wide_denominator_inputs(rng: random.Random) -> list[Polynomial]:
+    """Zero, a constant, and polynomials of degree 1-8 whose coefficients have
+    denominators of about 100 bits, one of them real-rooted."""
+
+    def rational() -> Fraction:
+        return Fraction(rng.randint(-(2**40), 2**40), rng.randint(2**99, 2**100))
+
+    out = [ZERO, P(rational())]
+    for deg in range(1, 9):
+        out.append(Polynomial(rational() for _ in range(deg + 1)))
+    out.append(from_roots([rational() for _ in range(4)], rational()))
+    return out
 
 
 def _derivative_sum(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -200,6 +225,17 @@ class TestLphi:
                     image(xi) / factorial(n) for n, image in enumerate(images)
                 )
                 assert lphi_diamond(f, h, xi) == expected, (f, h, xi)
+
+    def test_wide_denominators(self):
+        # each image against the defining sum, and each slice against the
+        # operator identity, on inputs with 100-bit denominators
+        rng = random.Random(23)
+        wide = _wide_denominator_inputs(rng)
+        for f, h in zip(wide, wide[3:] + wide[:3]):
+            xi = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+            images = [_derivative_sum(f.derivative(n), h) for n in range(len(f.coeffs))]
+            assert _derivative_images(f, h) == images, (f, h)
+            assert lphi_diamond(f, h, xi) == hermite_poulain(h_xi(h, xi), f.translate(xi))
 
     def test_commutes_with_derivative(self):
         rng = random.Random(3)
